@@ -408,6 +408,25 @@ def _spend(x, paper_proof):
     return math.asin(x)
 
 
+def _tail_spend(x, delta, paper_proof):
+    # angle spent by the tail's geometric run of steps, sines x, x/(1+delta), ...
+    if x == 0.0:
+        return 0.0
+    if paper_proof:
+        # closed form of the geometric series of pi*x/2 spends
+        if math.isfinite(delta):
+            return 0.5 * math.pi * x * (1.0 + delta) / delta
+        return 0.5 * math.pi * x
+    total = 0.0
+    xj = x
+    j = 0
+    while xj > 1e-9 and j < 400:
+        total += math.asin(xj)
+        xj /= 1.0 + delta
+        j += 1
+    return total + 0.5 * math.pi * xj / delta
+
+
 def _schedule_run(profile, schedule, mode, budget):
     alpha, cm, cp = profile.alpha, profile.c_minus, profile.c_plus
     paper_proof = mode == "paper_proof"
@@ -418,6 +437,12 @@ def _schedule_run(profile, schedule, mode, budget):
     cap_candidates = []
     saw_small_arc = False
     main_lhs = None
+
+    def fail(i, at_beta, step, status, reason):
+        # the marked row carries the ratio as it stood before step i
+        rows.append(TraceRow(i, at_beta, ratio, 0.0, step.kind, "none", status))
+        return _fail_trace(rows, budget, mode, alpha, f"step {i}: {reason}")
+
     for i, step in enumerate(schedule.steps, start=1):
         if not step.eps < 1.0 + cm:
             raise ScheduleError(
@@ -425,24 +450,10 @@ def _schedule_run(profile, schedule, mode, budget):
             )
         denom = 1.0 + cm - step.eps
         delta = step.eps / (cp - cm) if cp > cm else math.inf
-        if isinstance(step, SmallArcStep):
+        small_arc = isinstance(step, SmallArcStep)
+        tail = isinstance(step, TailStep)
+        if small_arc:
             x = 2.0 * (1.0 + step.rho) * alpha / denom
-            if x > 1.0:
-                rows.append(TraceRow(i, beta, ratio, 0.0, step.kind, "none", "infeasible"))
-                return _fail_trace(rows, budget, mode, alpha,
-                                   f"step {i}: required sine {x:.4f} exceeds 1")
-            beta_new = beta - _spend(x, paper_proof)
-            if beta_new < 0.0:
-                rows.append(TraceRow(i, beta_new, ratio, 0.0, step.kind, "none", "below_zero"))
-                return _fail_trace(rows, budget, mode, alpha,
-                                   f"step {i}: angle budget exhausted")
-            ratio = ratio * (1.0 + delta) if math.isfinite(delta) else math.inf
-            # scenario where the rho*alpha*n cap binds at this step: that
-            # mass sits beyond beta_new and already contributes to the sum
-            cap_candidates.append(step.rho * alpha * math.sin(beta_new) ** 2)
-            saw_small_arc = True
-            beta = beta_new
-            rows.append(TraceRow(i, beta, ratio, 0.0, step.kind, "alpha_n", "ok"))
         else:
             if not (ratio >= gate or saw_small_arc):
                 raise ScheduleError(
@@ -450,49 +461,25 @@ def _schedule_run(profile, schedule, mode, budget):
                     f"{gate:.4f} (ratio is {ratio:.4f} and no small-arc cap is available)"
                 )
             x = 2.0 * (1.0 + cp + alpha) / (denom * ratio) if math.isfinite(ratio) else 0.0
-            if isinstance(step, LargeArcStep):
-                if x > 1.0:
-                    rows.append(TraceRow(i, beta, ratio, 0.0, step.kind, "none", "infeasible"))
-                    return _fail_trace(rows, budget, mode, alpha,
-                                       f"step {i}: required sine {x:.4f} exceeds 1")
-                beta_new = beta - _spend(x, paper_proof)
-                if beta_new < 0.0:
-                    rows.append(TraceRow(i, beta_new, ratio, 0.0, step.kind, "none", "below_zero"))
-                    return _fail_trace(rows, budget, mode, alpha,
-                                       f"step {i}: angle budget exhausted")
-                ratio = ratio * (1.0 + delta) if math.isfinite(delta) else math.inf
-                beta = beta_new
-                rows.append(TraceRow(i, beta, ratio, 0.0, step.kind, "none", "ok"))
-            else:  # TailStep
-                if x > 1.0:
-                    rows.append(TraceRow(i, beta, ratio, 0.0, step.kind, "none", "infeasible"))
-                    return _fail_trace(rows, budget, mode, alpha,
-                                       f"step {i}: required sine {x:.4f} exceeds 1")
-                if x == 0.0:
-                    total = 0.0
-                elif paper_proof:
-                    # closed form of the geometric series of pi*x/2 spends
-                    if math.isfinite(delta):
-                        total = 0.5 * math.pi * x * (1.0 + delta) / delta
-                    else:
-                        total = 0.5 * math.pi * x
-                else:
-                    total = 0.0
-                    xj = x
-                    j = 0
-                    while xj > 1e-9 and j < 400:
-                        total += math.asin(xj)
-                        xj /= 1.0 + delta
-                        j += 1
-                    total += 0.5 * math.pi * xj / delta
-                beta_new = beta - total
-                if beta_new < 0.0:
-                    rows.append(TraceRow(i, beta_new, ratio, 0.0, step.kind, "none", "below_zero"))
-                    return _fail_trace(rows, budget, mode, alpha,
-                                       f"step {i}: angle budget exhausted in the tail")
-                beta = beta_new
-                main_lhs = 0.5 * math.sin(beta) ** 2
-                rows.append(TraceRow(i, beta, ratio, 0.5, step.kind, "half_n", "ok"))
+        if x > 1.0:
+            return fail(i, beta, step, "infeasible", f"required sine {x:.4f} exceeds 1")
+        beta_new = beta - (_tail_spend(x, delta, paper_proof) if tail else _spend(x, paper_proof))
+        if beta_new < 0.0:
+            return fail(i, beta_new, step, "below_zero",
+                        "angle budget exhausted" + (" in the tail" if tail else ""))
+        beta = beta_new
+        if tail:
+            main_lhs = 0.5 * math.sin(beta) ** 2
+            rows.append(TraceRow(i, beta, ratio, 0.5, step.kind, "half_n", "ok"))
+            continue
+        ratio = ratio * (1.0 + delta) if math.isfinite(delta) else math.inf
+        if small_arc:
+            # scenario where the rho*alpha*n cap binds at this step: that
+            # mass sits beyond the new beta and already contributes to the sum
+            cap_candidates.append(step.rho * alpha * math.sin(beta) ** 2)
+            saw_small_arc = True
+        rows.append(TraceRow(i, beta, ratio, 0.0, step.kind,
+                             "alpha_n" if small_arc else "none", "ok"))
     if main_lhs is None:
         return _fail_trace(rows, budget, mode, alpha,
                            "schedule has no tail step, so no absolute mass bound exists")

@@ -500,20 +500,6 @@ _DISPATCH = {
 }
 
 
-def emit_plot_data(obj, path):
-    """Write any trace-like object (amplification trace, flow result, or a
-    (header, rows) table) to CSV for external plotting."""
-    if hasattr(obj, "to_csv"):
-        obj.to_csv(path)
-        return path
-    try:
-        header, rows = obj
-    except (TypeError, ValueError):
-        raise InputError(f"cannot emit {type(obj).__name__} as CSV")
-    _write_csv(path, header, rows)
-    return path
-
-
 def run(argv=None):
     """Parse arguments, dispatch, write outputs. Returns a ReportBundle."""
     parser = build_parser()

@@ -8,7 +8,10 @@ is documented wherever counts surface.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import GenerationError, InputError
 
@@ -29,7 +32,8 @@ class Graph:
     """Immutable undirected simple graph on vertices 0..n-1.
 
     Stores a CSR-style neighbor structure (sorted, symmetric, no loops,
-    no multi-edges). Safe to share across threads after construction.
+    no multi-edges) and the scipy adjacency built from it. Safe to share
+    across threads after construction.
     """
 
     __slots__ = ("n", "m", "_indptr", "_indices", "_eu", "_ev", "_csr")
@@ -38,53 +42,50 @@ class Graph:
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise InputError(f"vertex count must be a positive integer, got {n!r}")
         n = int(n)
-        pairs = set()
-        for e in edges:
-            try:
-                u, v = e
-                u, v = int(u), int(v)
-            except (TypeError, ValueError):
-                raise InputError(f"edge {e!r} is not a vertex pair")
-            if u == v:
-                raise InputError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u}, {v}) out of range for n={n}")
-            pairs.add((u, v) if u < v else (v, u))
-        self.n = n
-        self.m = len(pairs)
-        if pairs:
-            arr = np.array(sorted(pairs), dtype=np.int64)
-            self._eu, self._ev = arr[:, 0].copy(), arr[:, 1].copy()
-        else:
-            self._eu = np.empty(0, dtype=np.int64)
-            self._ev = np.empty(0, dtype=np.int64)
-        both = np.concatenate([self._eu, self._ev])
-        other = np.concatenate([self._ev, self._eu])
-        order = np.lexsort((other, both))
-        counts = np.bincount(both, minlength=n)
-        self._indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._indptr[1:])
-        self._indices = other[order]
-        self._csr = None
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        try:
+            pairs = np.asarray(edges, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            raise InputError("edges must be pairs of integer vertices")
+        if pairs.shape == (0,):
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise InputError(f"edges must be vertex pairs, got shape {pairs.shape}")
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        loops = np.flatnonzero(lo == hi)
+        if len(loops):
+            raise InputError(f"self-loop at vertex {lo[loops[0]]}")
+        outside = np.flatnonzero((lo < 0) | (hi >= n))
+        if len(outside):
+            u, v = pairs[outside[0]]
+            raise InputError(f"edge ({u}, {v}) out of range for n={n}")
+        # sort and drop repeats: np.unique's hashing path is far slower on
+        # int64 keys of this size
+        key = np.sort(lo * n + hi)
+        key = key[np.diff(key, prepend=-1) > 0]
+        self._build(n, key // n, key % n)
 
     @classmethod
     def _from_sorted_pairs(cls, n, eu, ev):
         # generator fast path: caller guarantees canonical pair arrays
-        # (u < v, unique, lexsorted), so python-level dedup is skipped
+        # (u < v, unique, lexsorted), so validation is skipped
         self = cls.__new__(cls)
-        self.n = int(n)
-        self.m = len(eu)
-        self._eu = np.asarray(eu, dtype=np.int64)
-        self._ev = np.asarray(ev, dtype=np.int64)
-        both = np.concatenate([self._eu, self._ev])
-        other = np.concatenate([self._ev, self._eu])
-        order = np.lexsort((other, both))
-        counts = np.bincount(both, minlength=self.n)
-        self._indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._indptr[1:])
-        self._indices = other[order]
-        self._csr = None
+        self._build(int(n), np.asarray(eu, dtype=np.int64), np.asarray(ev, dtype=np.int64))
         return self
+
+    def _build(self, n, eu, ev):
+        self.n = n
+        self.m = len(eu)
+        self._eu, self._ev = eu, ev
+        # both orientations keyed row-major: sorted keys are the CSR order
+        key = np.concatenate([eu * n + ev, ev * n + eu])
+        key.sort()
+        self._indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
+        self._indices = key % n
+        data = np.ones(len(key), dtype=np.float64)
+        self._csr = csr_matrix((data, self._indices, self._indptr), shape=(n, n))
 
     @property
     def degrees(self):
@@ -104,14 +105,7 @@ class Graph:
         return self._eu, self._ev
 
     def adjacency(self):
-        """Adjacency matrix as scipy CSR, built lazily and cached."""
-        if self._csr is None:
-            from scipy.sparse import csr_matrix
-
-            data = np.ones(len(self._indices), dtype=np.float64)
-            self._csr = csr_matrix(
-                (data, self._indices, self._indptr), shape=(self.n, self.n)
-            )
+        """Adjacency matrix as scipy CSR."""
         return self._csr
 
     def __repr__(self):
@@ -138,27 +132,28 @@ def gen_named(family, n):
     if family == "cycle":
         if n < 3:
             raise InputError(f"cycle needs n >= 3, got {n}")
-        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        i = np.arange(n)
+        return Graph(n, np.column_stack((i, (i + 1) % n)))
     if family == "path":
         if n < 1:
             raise InputError(f"path needs n >= 1, got {n}")
-        return Graph(n, [(i, i + 1) for i in range(n - 1)])
+        i = np.arange(n - 1)
+        return Graph(n, np.column_stack((i, i + 1)))
     if family == "complete":
         if n < 1:
             raise InputError(f"complete needs n >= 1, got {n}")
-        return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        return Graph(n, np.column_stack(np.triu_indices(n, 1)))
     if family == "star":
         if n < 1:
             raise InputError(f"star needs n >= 1, got {n}")
-        return Graph(n, [(0, i) for i in range(1, n)])
+        i = np.arange(1, n)
+        return Graph(n, np.column_stack((np.zeros_like(i), i)))
     if family == "two_cliques_bridged":
         if n < 4 or n % 2:
             raise InputError(f"two_cliques_bridged needs even n >= 4, got {n}")
         half = n // 2
-        edges = [(i, j) for i in range(half) for j in range(i + 1, half)]
-        edges += [(i, j) for i in range(half, n) for j in range(i + 1, n)]
-        edges.append((half - 1, half))
-        return Graph(n, edges)
+        clique = np.column_stack(np.triu_indices(half, 1))
+        return Graph(n, np.concatenate((clique, clique + half, [(half - 1, half)])))
     raise InputError(f"unknown graph family {family!r}")
 
 
@@ -235,7 +230,7 @@ def gen_random_regular(n, d, seed, max_restarts=10000):
             pending = np.array(leftover, dtype=np.int64)
             rng.shuffle(pending)
         else:
-            return Graph(n, sorted(present))
+            return Graph(n, present)
     raise GenerationError(
         f"no simple {d}-regular pairing on {n} vertices in {max_restarts} restarts"
     )
@@ -297,32 +292,34 @@ def write_edge_list(g, path):
 def read_edge_list(path):
     """Read the edge-list text format, rejecting any format violation."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
+        header, _, body = fh.read().lstrip().partition("\n")
+    header = header.rstrip()
+    if not header:
         raise InputError(f"{path}: empty edge-list file")
-    head = lines[0].split()
+    head = header.split()
     if len(head) != 2:
-        raise InputError(f"{path}: header must be 'n m', got {lines[0]!r}")
+        raise InputError(f"{path}: header must be 'n m', got {header!r}")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise InputError(f"{path}: non-integer header {lines[0]!r}")
-    if len(lines) - 1 != m:
-        raise InputError(f"{path}: header claims {m} edges, found {len(lines) - 1}")
-    edges = []
-    seen = set()
-    for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != 2:
-            raise InputError(f"{path}: bad edge line {ln!r}")
+        raise InputError(f"{path}: non-integer header {header!r}")
+    pairs = np.empty((0, 2), dtype=np.int64)
+    if body and not body.isspace():
         try:
-            u, v = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise InputError(f"{path}: non-integer edge line {ln!r}")
-        if not u < v:
-            raise InputError(f"{path}: edges must satisfy u < v, got {ln!r}")
-        if (u, v) in seen:
-            raise InputError(f"{path}: duplicate edge {ln!r}")
-        seen.add((u, v))
-        edges.append((u, v))
-    return Graph(n, edges)
+            pairs = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise InputError(f"{path}: bad edge line: {exc}")
+    if len(pairs) != m:
+        raise InputError(f"{path}: header claims {m} edges, found {len(pairs)}")
+    if pairs.shape[1] != 2:
+        raise InputError(f"{path}: edge lines must hold two vertices, found {pairs.shape[1]}")
+    flipped = np.flatnonzero(pairs[:, 0] >= pairs[:, 1])
+    if len(flipped):
+        u, v = pairs[flipped[0]]
+        raise InputError(f"{path}: edges must satisfy u < v, got '{u} {v}'")
+    g = Graph(n, pairs)
+    if g.m != m:
+        key = np.sort(pairs[:, 0] * n + pairs[:, 1])
+        dup = key[1:][key[1:] == key[:-1]][0]
+        raise InputError(f"{path}: duplicate edge '{dup // n} {dup % n}'")
+    return g

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import InputError, NumericalError
 from .graphs import degree_extrema, edges_between
@@ -164,7 +164,7 @@ def _extreme_eigenpair(mv, n, which, tol_abs):
             break
         try:
             vals, vecs = eigsh(op, k=1, which=which, v0=v0, ncv=ncv, maxiter=200 * n, tol=0)
-        except Exception:
+        except ArpackNoConvergence:
             continue
         lam, v = float(vals[0]), vecs[:, 0]
         resid = float(np.linalg.norm(mv(v) - lam * v))
@@ -335,8 +335,9 @@ def _discrepancy_search(g, d_ref, x, sign, theta):
     """Hill-climb sign*(e(X,X) - (d/n)|X|^2) - theta*|X| over vertex flips.
 
     Single add/drop moves first, then size-preserving pair swaps to escape
-    one-flip plateaus. A is symmetric so row i doubles as column i. The flip
-    budget guarantees termination even with float-tie pathologies.
+    one-flip plateaus. s[j] counts the neighbors of j inside X, so a flip
+    of i moves s by one on the neighbors of i. The flip budget guarantees
+    termination even with float-tie pathologies.
     """
     A = g.adjacency()
     n = g.n
@@ -344,10 +345,6 @@ def _discrepancy_search(g, d_ref, x, sign, theta):
     x = x.astype(np.float64).copy()
     s = A @ x
     k = int(round(x.sum()))
-
-    def row(i):
-        return np.asarray(A[[i]].todense()).ravel()
-
     for _ in range(20 * n):
         gain_add = sign * (2.0 * s - scale * (2 * k + 1)) - theta
         gain_add[x > 0.5] = -np.inf
@@ -356,12 +353,12 @@ def _discrepancy_search(g, d_ref, x, sign, theta):
         ia, idr = int(np.argmax(gain_add)), int(np.argmax(gain_drop))
         if gain_add[ia] >= gain_drop[idr] and gain_add[ia] > 1e-12:
             x[ia] = 1.0
-            s += row(ia)
+            s[g.neighbors(ia)] += 1.0
             k += 1
             continue
         if k > 1 and gain_drop[idr] > 1e-12:
             x[idr] = 0.0
-            s -= row(idr)
+            s[g.neighbors(idr)] -= 1.0
             k -= 1
             continue
         into = np.where(x > 0.5, -np.inf, sign * 2.0 * s)
@@ -370,9 +367,9 @@ def _discrepancy_search(g, d_ref, x, sign, theta):
         if k >= 2 and np.isfinite(into[a]) and np.isfinite(outof[b]) \
                 and into[a] - outof[b] - 2.0 * sign * A[a, b] > 1e-12:
             x[a] = 1.0
-            s += row(a)
+            s[g.neighbors(a)] += 1.0
             x[b] = 0.0
-            s -= row(b)
+            s[g.neighbors(b)] -= 1.0
             continue
         break
     return np.flatnonzero(x > 0.5)

@@ -11,6 +11,28 @@ import math
 import numpy as np
 
 
+def canonical_graph_arrays(n, edges):
+    """(eu, ev, indptr, indices) as lists, by python sets and sorting.
+
+    Pairs are oriented u < v, deduplicated in a set and sorted; each
+    vertex's neighbor list is built and sorted on its own.
+    """
+    pairs = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        pairs.add((u, v) if u < v else (v, u))
+    ordered = sorted(pairs)
+    neighbors = [[] for _ in range(n)]
+    for u, v in ordered:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    indptr, indices = [0], []
+    for row in neighbors:
+        indices.extend(sorted(row))
+        indptr.append(len(indices))
+    return [u for u, _ in ordered], [v for _, v in ordered], indptr, indices
+
+
 def dense_adjacency(g):
     A = np.zeros((g.n, g.n))
     eu, ev = g.edge_arrays()

@@ -53,6 +53,7 @@ from kurasync.spectral import ExpanderProfile
 import dataclasses
 
 from _oracles import dense_alpha, dense_laplacian_extremes, fd_gradient, fd_jacobian
+from test_cli import CLI_ENV
 
 CYCLE_CAP = 20000  # cycle flows crawl near saddles without a cap
 
@@ -328,7 +329,7 @@ def test_10_vacuous_regime_and_empirical_sync():
     proc = subprocess.run(
         [sys.executable, "-m", "kurasync.cli", "er-predict",
          "--n", "500", "--gamma", "3", "--eps", "0.25"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=CLI_ENV,
     )
     assert proc.returncode == 1
     rep = json.loads(proc.stdout)

@@ -5,23 +5,31 @@ error. Reports must be reproducible modulo the provenance timestamp.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kurasync
 from kurasync import read_edge_list
 from kurasync.certify import preset_regular_schedule
 from kurasync.spectral import ExpanderProfile
 
 CYCLE_CAP = "20000"
 
+# the CLI subprocess imports the same package as this process, installed or not
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(kurasync.__file__).resolve().parents[1]),
+                  os.environ.get("PYTHONPATH")]))}
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "kurasync.cli", *args],
-        capture_output=True, text=True, cwd=cwd, timeout=600,
+        capture_output=True, text=True, cwd=cwd, timeout=600, env=CLI_ENV,
     )
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kurasync import (
     Graph,
@@ -16,7 +18,7 @@ from kurasync import (
     write_edge_list,
 )
 
-from _oracles import bf_edges_between, er_degree_sequence
+from _oracles import bf_edges_between, canonical_graph_arrays, er_degree_sequence
 
 
 def test_complete_graph_counts():
@@ -64,17 +66,78 @@ def test_constructor_normalizes_edges():
     assert np.all(eu < ev)
 
 
+def graph_arrays(g):
+    eu, ev = g.edge_arrays()
+    return eu, ev, g._indptr, g._indices
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_constructor_matches_set_oracle(data):
+    n = data.draw(st.integers(2, 30), label="n")
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+        lambda t: (t[0], (t[0] + t[1]) % n))
+    pairs = data.draw(st.lists(pair, max_size=60), label="pairs")
+    # repeats in both orientations
+    pairs += pairs[::2] + [(v, u) for u, v in pairs[::3]]
+    form = data.draw(st.sampled_from(
+        ["list", "tuple", "generator", "lists", "np_scalars", "int8", "uint16", "int64"]))
+    if form == "list":
+        edges = pairs
+    elif form == "tuple":
+        edges = tuple(pairs)
+    elif form == "generator":
+        edges = (p for p in pairs)
+    elif form == "lists":
+        edges = [list(p) for p in pairs]
+    elif form == "np_scalars":
+        edges = [(np.int32(u), np.uint8(v)) for u, v in pairs]
+    else:
+        edges = np.array(pairs, dtype=form).reshape(-1, 2)
+    g = Graph(n, edges)
+    want = canonical_graph_arrays(n, pairs)
+    assert g.n == n and g.m == len(want[0])
+    for got, ref in zip(graph_arrays(g), want):
+        assert got.dtype == np.int64
+        assert got.tolist() == ref
+    A = g.adjacency()
+    assert A.indptr.tolist() == want[2] and A.indices.tolist() == want[3]
+
+
+def test_erdos_renyi_rebuilt_through_constructor():
+    # the generator's presorted fast path and the validating constructor agree
+    rng = np.random.default_rng(3)
+    for n, p, seed in [(1, 0.5, 0), (40, 0.0, 1), (120, 0.1, 2), (60, 1.0, 3)]:
+        g = gen_erdos_renyi(n, p, seed)
+        eu, ev = g.edge_arrays()
+        shuffled = np.column_stack((ev, eu))[rng.permutation(g.m)]
+        h = Graph(n, shuffled)
+        for a, b in zip(graph_arrays(g), graph_arrays(h)):
+            assert np.array_equal(a, b)
+
+
 def test_constructor_rejects_bad_input():
-    with pytest.raises(InputError):
-        Graph(3, [(0, 0)])
-    with pytest.raises(InputError):
-        Graph(3, [(0, 3)])
-    with pytest.raises(InputError):
-        Graph(3, [(0, -1)])
+    bad = [
+        [(0, 0)],
+        [(0, 1), (2, 2)],
+        np.array([[0, 1], [1, 1]]),
+        [(0, 3)],
+        [(0, -1)],
+        np.array([[0, 1], [1, 5]]),
+        [(0, 1), (2,)],
+        [("0", "x")],
+        [(0, 1, 2)],
+        np.zeros((2, 3), dtype=np.int64),
+        [()],
+        [0, 1],
+        [(None, 1)],
+        [(2 ** 70, 1)],
+    ]
+    for edges in bad:
+        with pytest.raises(InputError):
+            Graph(3, edges)
     with pytest.raises(InputError):
         Graph(0, [])
-    with pytest.raises(InputError):
-        Graph(3, [(0, 1, 2)])
 
 
 def test_neighbor_structure():
@@ -194,13 +257,13 @@ def test_random_regular_rejects_impossible():
 
 
 def test_edge_list_round_trip(tmp_path):
-    g = gen_erdos_renyi(35, 0.3, 21)
-    path = tmp_path / "g.txt"
-    write_edge_list(g, path)
-    h = read_edge_list(path)
-    assert h.n == g.n and h.m == g.m
-    assert np.array_equal(h.edge_arrays()[0], g.edge_arrays()[0])
-    assert np.array_equal(h.edge_arrays()[1], g.edge_arrays()[1])
+    for g in (gen_erdos_renyi(35, 0.3, 21), gen_erdos_renyi(5, 0.0, 0)):
+        path = tmp_path / "g.txt"
+        write_edge_list(g, path)
+        h = read_edge_list(path)
+        assert h.n == g.n and h.m == g.m
+        for a, b in zip(graph_arrays(g), graph_arrays(h)):
+            assert np.array_equal(a, b)
 
 
 def test_edge_list_rejects_malformed(tmp_path):
@@ -212,12 +275,21 @@ def test_edge_list_rejects_malformed(tmp_path):
         "duplicate": "3 2\n0 1\n0 1\n",
         "loop": "3 1\n1 1\n",
         "tokens": "3 1\n0 1 2\n",
+        "ragged": "3 2\n0 1\n2\n",
+        "non_integer": "3 1\n0 x\n",
+        "float": "3 1\n0 1.0\n",
+        "out_of_range": "3 1\n0 3\n",
     }
     for name, text in cases.items():
         path = tmp_path / f"{name}.txt"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(InputError):
             read_edge_list(path)
+    # the one canonicalization finds the repeat and the error names it
+    path = tmp_path / "repeat.txt"
+    path.write_text("4 3\n0 1\n2 3\n0 1\n", encoding="utf-8")
+    with pytest.raises(InputError, match="duplicate edge '0 1'"):
+        read_edge_list(path)
 
 
 def test_degree_extrema():

@@ -12,7 +12,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from kurasync import spectral
 from kurasync import (
     ExpanderProfile,
     InputError,
@@ -66,6 +68,31 @@ def test_profile_off_reference_degree():
     g = gen_erdos_renyi(80, 0.4, 9)
     for d in (20.0, 2.0 * g.m / g.n, 40.0):
         assert abs(centered_adjacency_alpha(g, d) - dense_alpha(g, d)) < 2 * TOL
+
+
+def test_arpack_no_convergence_escalates_krylov_space(monkeypatch):
+    real = spectral.eigsh
+    tried = []
+
+    def flaky(op, **kwargs):
+        tried.append(kwargs["ncv"])
+        if kwargs["ncv"] == 20:
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((op.shape[0], 0)))
+        return real(op, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", flaky)
+    g = gen_random_regular(48, 6, 0)
+    assert abs(centered_adjacency_alpha(g, 6.0) - dense_alpha(g, 6.0)) < 2 * TOL
+    assert tried == [20, 47]
+
+
+def test_other_eigensolver_errors_propagate(monkeypatch):
+    def broken(op, **kwargs):
+        raise RuntimeError("broken solver")
+
+    monkeypatch.setattr(spectral, "eigsh", broken)
+    with pytest.raises(RuntimeError, match="broken solver"):
+        centered_adjacency_alpha(gen_random_regular(48, 6, 0), 6.0)
 
 
 def test_complete_graph_profile_closed_form():
