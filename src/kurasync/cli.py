@@ -102,7 +102,8 @@ def build_parser():
     p.add_argument("--workers", type=int, help="worker threads (default 1)")
     p.add_argument("--step-cap", type=int, help="max accepted steps per run")
     p.add_argument("--classify", action="store_true", default=None,
-                   help="classify the final state of each run (dense Hessian)")
+                   help="classify the final state of each run (sparse Hessian "
+                        "eigensolve with the rotation mode shifted out)")
 
     p = sub.add_parser("threshold", help="largest certified alpha for regular-shape profiles")
     common(p)

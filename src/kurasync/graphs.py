@@ -280,13 +280,20 @@ def degree_extrema(g):
     return int(degs.min()), int(degs.max())
 
 
+_WRITE_BLOCK = 1 << 16  # edge lines per formatting call in write_edge_list
+
+
 def write_edge_list(g, path):
     """Write the text format: first line "n m", then m lines "u v", u < v."""
     eu, ev = g.edge_arrays()
+    flat = np.column_stack([eu, ev]).ravel()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{g.n} {g.m}\n")
-        for u, v in zip(eu, ev):
-            fh.write(f"{u} {v}\n")
+        # one %-format per block of lines: as fast as formatting all lines
+        # at once, with only one block's Python ints alive
+        for i in range(0, len(flat), 2 * _WRITE_BLOCK):
+            block = flat[i : i + 2 * _WRITE_BLOCK].tolist()
+            fh.write("%d %d\n" * (len(block) // 2) % tuple(block))
 
 
 def read_edge_list(path):

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .errors import ConsistencyError, DomainError, InputError
 
 __all__ = [
@@ -57,9 +55,17 @@ def h_func(c):
     return (1.0 + c) * math.log1p(c) - c
 
 
+def _h_root(target, lo, hi):
+    # imported here: scipy.optimize adds about a quarter second to every
+    # CLI start, and only these root finders use it
+    from scipy.optimize import brentq
+
+    return brentq(lambda c: h_func(c) - target, lo, hi, xtol=_ROOT_XTOL)
+
+
 def _h_root_negative(target):
     # h decreases from 1 to 0 on (-1, 0], so a root exists iff 0 < target < 1
-    return brentq(lambda c: h_func(c) - target, -1.0 + 1e-15, -1e-300, xtol=_ROOT_XTOL)
+    return _h_root(target, -1.0 + 1e-15, -1e-300)
 
 
 def _h_root_positive(target):
@@ -67,7 +73,7 @@ def _h_root_positive(target):
     hi = math.e - 1.0
     while h_func(hi) < target:
         hi *= 2.0
-    return brentq(lambda c: h_func(c) - target, 1e-300, hi, xtol=_ROOT_XTOL)
+    return _h_root(target, 1e-300, hi)
 
 
 def gamma_roots(gamma):

@@ -133,12 +133,19 @@ def _dense_from_matvec(mv, n):
     return np.column_stack(cols)
 
 
-def _extreme_eigenpair(mv, n, which, tol_abs):
+def _extreme_eigenpair(mv, n, which, tol_abs, norm_bound=None):
     """One extremal eigenpair of the symmetric operator given by mv.
 
     which is 'LM', 'SA' or 'LA'. The result is certified by the explicit
     residual ||M v - lambda v|| <= tol_abs; failing that after escalating
     the Krylov space raises NumericalError with the best residual seen.
+
+    ARPACK iterates to machine precision unless norm_bound, a bound on
+    ||M||, is given; it then stops once its own residual estimate, at most
+    tol_abs / norm_bound * |lambda|, shows tol_abs is met. Machine precision
+    relative to |lambda| lies below rounding noise when |lambda| << ||M||,
+    and ARPACK then runs to maxiter on a tight cluster of extreme
+    eigenvalues (seen on twisted odd cycles).
     """
     if n <= _DENSE_CUTOFF:
         # exact small-matrix path assembled column by column from the
@@ -158,12 +165,13 @@ def _extreme_eigenpair(mv, n, which, tol_abs):
 
     op = LinearOperator((n, n), matvec=mv, dtype=np.float64)
     v0 = np.random.default_rng(12345).standard_normal(n)  # fixed: reproducible runs
+    tol = 0 if norm_bound is None else tol_abs / norm_bound
     best = None
     for ncv in (min(n - 1, 20), min(n - 1, 60), min(n - 1, 160)):
         if ncv < 3:
             break
         try:
-            vals, vecs = eigsh(op, k=1, which=which, v0=v0, ncv=ncv, maxiter=200 * n, tol=0)
+            vals, vecs = eigsh(op, k=1, which=which, v0=v0, ncv=ncv, maxiter=200 * n, tol=tol)
         except ArpackNoConvergence:
             continue
         lam, v = float(vals[0]), vecs[:, 0]

@@ -56,6 +56,42 @@ def dense_laplacian_extremes(g, d_ref):
     return w[0] / d_ref, w[-1] / d_ref
 
 
+def dense_hessian(g, theta):
+    """Kuramoto energy Hessian scattered entry by entry from the edge list."""
+    H = np.zeros((g.n, g.n))
+    eu, ev = g.edge_arrays()
+    c = np.cos(theta[eu] - theta[ev])
+    np.add.at(H, (eu, ev), -c)
+    np.add.at(H, (ev, eu), -c)
+    np.add.at(H, (eu, eu), c)
+    np.add.at(H, (ev, ev), c)
+    return H
+
+
+def dense_min_eig_orthogonal(H):
+    """Smallest eigenvalue of H on the complement of the all-ones vector.
+
+    Restricts H to an orthonormal basis of that complement, taken from a QR
+    factorization, and runs a full eigvalsh.
+    """
+    n = H.shape[0]
+    if n == 1:
+        return 0.0
+    basis = np.column_stack([np.ones(n), np.eye(n)[:, : n - 1]])
+    q, _ = np.linalg.qr(basis)
+    B = q[:, 1:]
+    return float(np.linalg.eigvalsh(B.T @ H @ B)[0])
+
+
+def edge_list_text(g):
+    """The edge-list file format, one f-string per line."""
+    eu, ev = g.edge_arrays()
+    lines = [f"{g.n} {g.m}\n"]
+    for u, v in zip(eu, ev):
+        lines.append(f"{u} {v}\n")
+    return "".join(lines)
+
+
 def bf_energy(g, theta):
     eu, ev = g.edge_arrays()
     return sum(1.0 - math.cos(theta[u] - theta[v]) for u, v in zip(eu, ev))

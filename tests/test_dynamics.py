@@ -7,13 +7,20 @@ forms cannot hide.
 """
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from kurasync import (
     ConsistencyError,
+    Graph,
     InputError,
+    NumericalError,
     arc_set,
     classify_equilibrium,
     daido,
@@ -31,8 +38,16 @@ from kurasync import (
     s_func,
     wrap_phases,
 )
+from kurasync import cli, spectral
+from kurasync.dynamics import _SPARSE_MIN_N
 
-from _oracles import bf_energy, fd_gradient, fd_jacobian
+from _oracles import (
+    bf_energy,
+    dense_hessian,
+    dense_min_eig_orthogonal,
+    fd_gradient,
+    fd_jacobian,
+)
 
 # cycle flows crawl near saddles; every cycle flow below caps its steps
 CYCLE_CAP = 20000
@@ -274,6 +289,93 @@ def test_classify_equilibrium_all_classes():
     rep = classify_equilibrium(comp, random_phases(10, 9))
     assert rep.classification == "not_equilibrium"
     assert rep.gradient_norm > 1.0
+
+
+@st.composite
+def hessian_states(draw):
+    """(graph, state, kind) on either side of the sparse-classification crossover."""
+    sparse = draw(st.booleans(), label="sparse side")
+    n = draw(st.integers(_SPARSE_MIN_N, _SPARSE_MIN_N + 40) if sparse else st.integers(3, 40),
+             label="n")
+    kind = draw(st.sampled_from(
+        ["twisted_cycle", "er", "star_antipodal", "edgeless", "two_components"]), label="kind")
+    seed = draw(st.integers(0, 2 ** 16), label="seed")
+    # near-synchronized states keep every edge weight positive
+    spread = draw(st.sampled_from([0.05, np.pi]), label="spread")
+    theta = spread / np.pi * random_phases(n, seed)
+    if kind == "twisted_cycle":
+        q = draw(st.integers(0, n - 1), label="q")
+        return gen_named("cycle", n), wrap_phases(2.0 * np.pi * q * np.arange(n) / n), kind
+    if kind == "er":
+        p = min(1.0, draw(st.floats(1.0, 12.0), label="mean degree") / n)
+        return gen_erdos_renyi(n, p, seed), theta, kind
+    if kind == "star_antipodal":
+        theta[0] = np.pi
+        return gen_named("star", n), theta, kind
+    if kind == "edgeless":
+        return gen_erdos_renyi(n, 0.0, seed), theta, kind
+    # two paths, often identical, at the synchronized state or a random one
+    k = draw(st.one_of(st.just(n // 2), st.integers(1, n - 1)), label="split")
+    eu, ev = gen_named("path", k).edge_arrays()
+    fu, fv = gen_named("path", n - k).edge_arrays()
+    edges = np.concatenate([np.column_stack((eu, ev)), np.column_stack((fu, fv)) + k])
+    if spread < 1:
+        return Graph(n, edges), np.zeros(n), "two_components_synchronized"
+    return Graph(n, edges), theta, kind
+
+
+@settings(max_examples=120, deadline=None)
+@given(hessian_states())
+def test_classification_matches_dense_qr_oracle(state):
+    g, theta, kind = state
+    event(f"{kind}, {'sparse' if g.n >= _SPARSE_MIN_N else 'dense'}")
+    d_max = int(g.degrees.max())
+    eig_tol = 1e-8 * max(d_max, 1)
+    # a large gradient tolerance sends every state to the eigenvalue step
+    rep = classify_equilibrium(g, theta, grad_tol=1e6)
+    ref = dense_min_eig_orthogonal(dense_hessian(g, theta))
+    want = "stable" if ref > eig_tol else "strict_saddle" if ref < -eig_tol else "degenerate"
+    assert rep.classification == want
+    assert abs(rep.hessian_min_eig_orth - ref) <= 1e-9 * max(d_max, 1)
+    if kind in ("edgeless", "two_components_synchronized"):
+        assert want == "degenerate"
+
+
+def _no_convergence(op, **kwargs):
+    raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((op.shape[0], 0)))
+
+
+def test_classification_failure_is_a_numerical_error(monkeypatch):
+    monkeypatch.setattr(spectral, "eigsh", _no_convergence)
+    n = _SPARSE_MIN_N
+    g = gen_erdos_renyi(n, 0.05, 1)
+    with pytest.raises(NumericalError):
+        classify_equilibrium(g, random_phases(n, 2))
+    # below the crossover the dense eigensolve never calls eigsh
+    small = gen_named("cycle", n - 1)
+    assert classify_equilibrium(small, np.zeros(n - 1)).classification == "stable"
+
+    monkeypatch.setattr(sys, "argv", [
+        "kurasync", "simulate", "--gen", f"er:{n},0.05", "--seed", "0",
+        "--step-cap", "5", "--classify"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+
+
+def test_classification_memory_stays_below_dense():
+    n = 4000
+    g = gen_erdos_renyi(n, 10.0 / n, 3)
+    theta = random_phases(n, 4)
+    tracemalloc.start()
+    try:
+        rep = classify_equilibrium(g, theta, grad_tol=1e6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.classification == "strict_saddle"
+    # one dense n x n float64 Hessian alone would take 8 n^2 = 128 MB
+    assert peak < 8 * n * n / 20
 
 
 def test_classify_equilibrium_arguments():

@@ -18,7 +18,12 @@ from kurasync import (
     write_edge_list,
 )
 
-from _oracles import bf_edges_between, canonical_graph_arrays, er_degree_sequence
+from _oracles import (
+    bf_edges_between,
+    canonical_graph_arrays,
+    edge_list_text,
+    er_degree_sequence,
+)
 
 
 def test_complete_graph_counts():
@@ -257,9 +262,12 @@ def test_random_regular_rejects_impossible():
 
 
 def test_edge_list_round_trip(tmp_path):
-    for g in (gen_erdos_renyi(35, 0.3, 21), gen_erdos_renyi(5, 0.0, 0)):
+    # K_400 has 79,800 edges, more than one formatting block of the writer
+    for g in (gen_erdos_renyi(35, 0.3, 21), gen_erdos_renyi(5, 0.0, 0),
+              gen_named("complete", 400)):
         path = tmp_path / "g.txt"
         write_edge_list(g, path)
+        assert path.read_text(encoding="utf-8") == edge_list_text(g)
         h = read_edge_list(path)
         assert h.n == g.n and h.m == g.m
         for a, b in zip(graph_arrays(g), graph_arrays(h)):
