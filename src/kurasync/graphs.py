@@ -191,12 +191,23 @@ def gen_erdos_renyi(n, p, seed):
 def gen_random_regular(n, d, seed, max_restarts=10000):
     """Random d-regular simple graph via the pairing (configuration) model.
 
-    Stubs are shuffled and matched sequentially; stubs from rejected pairs
-    (self-loops or repeats) are reshuffled and re-matched rather than
-    restarting the whole pairing, because the probability that a raw pairing
-    is simple decays like exp(-(d^2-1)/4) and is negligible already at
-    d = 20. A full restart happens only when the leftover stubs admit no
-    further legal pair. Deterministic given seed.
+    Stubs are shuffled and matched in rounds: the pending stubs pair up as
+    (pending[0], pending[1]), (pending[2], pending[3]), ... and the stubs of
+    rejected pairs (self-loops or repeats), kept in order, are reshuffled and
+    re-matched in the next round rather than restarting the whole pairing,
+    because the probability that a raw pairing is simple decays like
+    exp(-(d^2-1)/4) and is negligible already at d = 20. A full restart
+    happens only when a round accepts no pair. Deterministic given seed.
+
+    A round is matched with array operations. A pair {a, b} is accepted if
+    and only if a != b, its key min*n + max is not among the pairs accepted
+    in earlier rounds, and no earlier pair of this round has the same key.
+    This is exactly what accepting the pairs one at a time in order, against
+    the set of pairs accepted so far, would do: a pair is rejected there
+    precisely when it is a loop or its key was accepted before it, in an
+    earlier round or earlier in this one, and a key is accepted at its first
+    non-rejected occurrence. So the random stream, and the graph, are the
+    same as for that sequential loop.
     """
     if n < 1 or d < 0:
         raise InputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
@@ -210,48 +221,61 @@ def gen_random_regular(n, d, seed, max_restarts=10000):
     for _ in range(max_restarts):
         pending = np.repeat(np.arange(n, dtype=np.int64), d)
         rng.shuffle(pending)
-        present = set()
+        # sorted keys of the accepted pairs; the stub count stays even, as
+        # n*d is even and every accepted pair takes two stubs
+        present = np.empty(0, dtype=np.int64)
         while len(pending):
-            leftover = []
-            progressed = False
-            for i in range(0, len(pending) - 1, 2):
-                a, b = int(pending[i]), int(pending[i + 1])
-                key = (a, b) if a < b else (b, a)
-                if a == b or key in present:
-                    leftover.append(a)
-                    leftover.append(b)
-                else:
-                    present.add(key)
-                    progressed = True
-            if len(pending) % 2:
-                leftover.append(int(pending[-1]))
-            if leftover and not progressed:
+            a, b = pending[0::2], pending[1::2]
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            key = lo * n + hi
+            ok = lo != hi
+            if len(present):
+                at = np.minimum(np.searchsorted(present, key), len(present) - 1)
+                ok &= present[at] != key
+            # first occurrence in this round: the smallest pair index in each
+            # run of equal keys (a stable argsort is about 5x slower here)
+            order = np.argsort(key)
+            starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+            first = np.zeros(len(key), dtype=bool)
+            first[np.minimum.reduceat(order, starts)] = True
+            ok &= first
+            if not ok.any():
                 break  # stuck: remaining stubs admit no legal pair
-            pending = np.array(leftover, dtype=np.int64)
+            # merged by sorting a concatenation: np.union1d and np.unique
+            # take numpy's hashing path, which is far slower on these keys
+            present = np.sort(np.concatenate((present, key[ok])))
+            pending = pending[np.repeat(~ok, 2)]
             rng.shuffle(pending)
         else:
-            return Graph(n, present)
+            return Graph._from_sorted_pairs(n, present // n, present % n)
     raise GenerationError(
         f"no simple {d}-regular pairing on {n} vertices in {max_restarts} restarts"
     )
 
 
 def _as_vertex_array(g, X):
-    xs = [int(x) for x in X]
-    uniq = sorted(set(xs))
-    if len(uniq) != len(xs):
+    try:
+        arr = X if isinstance(X, np.ndarray) else np.asarray(list(X))
+    except (TypeError, ValueError):
+        raise InputError("vertex set must be a flat sequence of integers")
+    if arr.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu":
+        raise InputError("vertex set must be a flat sequence of integers")
+    arr = np.sort(arr)
+    if np.any(arr[1:] == arr[:-1]):
         raise InputError("vertex set contains duplicate members")
-    arr = np.asarray(uniq, dtype=np.int64)
-    if len(arr) and (arr[0] < 0 or arr[-1] >= g.n):
+    if arr[0] < 0 or arr[-1] >= g.n:
         raise InputError(f"vertex set contains out-of-range members for n={g.n}")
-    return arr
+    return arr.astype(np.int64, copy=False)
 
 
 def edges_between(g, X, Y):
     """e(X, Y) = sum_{x in X} sum_{y in Y} A[x, y], exactly.
 
     Double-sum convention: an edge with both endpoints in X contributes 2
-    to e(X, X). X and Y may overlap.
+    to e(X, X). X and Y may overlap. Members must be integers, distinct
+    within each set and in 0..n-1; anything else raises InputError.
     """
     xs = _as_vertex_array(g, X)
     ys = _as_vertex_array(g, Y)

@@ -470,12 +470,18 @@ def check_mixing_bounds(g, profile, trials, seed):
             )
         )
 
+    def complement(xs):
+        # the sorted complement, as np.setdiff1d gives it, from a mask
+        outside = np.ones(n, dtype=bool)
+        outside[xs] = False
+        return np.flatnonzero(outside)
+
     def check_single(xs):
         k = len(xs)
         exx = edges_between(g, xs, xs)
         mean = (d / n) * k * k
         record("internal_pairs", xs, k, mean - alpha * d * k, exx, mean + alpha * d * k)
-        comp = np.setdiff1d(np.arange(n), xs, assume_unique=False)
+        comp = complement(xs)
         if len(comp):
             cut = edges_between(g, xs, comp)
             base = (d / n) * k * len(comp)
@@ -496,11 +502,11 @@ def check_mixing_bounds(g, profile, trials, seed):
             return
         eps = float(rng.uniform(0.05, 0.95)) * (1.0 + cm)
         delta = eps / (cp - cm)
-        outside = np.setdiff1d(np.arange(n), xs, assume_unique=False)
+        outside = complement(xs)
         extra = min(int(delta * k), n // 2 - k, len(outside))
         ys = np.concatenate([xs, rng.choice(outside, size=extra, replace=False)]) \
             if extra > 0 else np.asarray(xs)
-        yc = np.setdiff1d(np.arange(n), ys, assume_unique=False)
+        yc = complement(ys)
         if len(yc) == 0:
             skipped.update({"nested_cut", "small_set_outflow"})
             return

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from kurasync import GenerationError
+
 
 def canonical_graph_arrays(n, edges):
     """(eu, ev, indptr, indices) as lists, by python sets and sorting.
@@ -31,6 +33,44 @@ def canonical_graph_arrays(n, edges):
         indices.extend(sorted(row))
         indptr.append(len(indices))
     return [u for u, _ in ordered], [v for _, v in ordered], indptr, indices
+
+
+def pairing_reference(n, d, seed, max_restarts=10000):
+    """Pairing-model sampler matching stubs one pair at a time in python.
+
+    The sequential loop the library's round-at-a-time sampler must reproduce:
+    for equal (n, d, seed, max_restarts) it consumes the same random stream
+    and returns the same graph, as canonical_graph_arrays lists, or raises
+    the same GenerationError.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(max_restarts):
+        pending = np.repeat(np.arange(n, dtype=np.int64), d)
+        rng.shuffle(pending)
+        present = set()
+        while len(pending):
+            leftover = []
+            progressed = False
+            for i in range(0, len(pending) - 1, 2):
+                a, b = int(pending[i]), int(pending[i + 1])
+                key = (a, b) if a < b else (b, a)
+                if a == b or key in present:
+                    leftover.append(a)
+                    leftover.append(b)
+                else:
+                    present.add(key)
+                    progressed = True
+            if len(pending) % 2:
+                leftover.append(int(pending[-1]))
+            if leftover and not progressed:
+                break  # stuck: remaining stubs admit no legal pair
+            pending = np.array(leftover, dtype=np.int64)
+            rng.shuffle(pending)
+        else:
+            return canonical_graph_arrays(n, present)
+    raise GenerationError(
+        f"no simple {d}-regular pairing on {n} vertices in {max_restarts} restarts"
+    )
 
 
 def dense_adjacency(g):

@@ -1,11 +1,14 @@
 """Graph container, exact pair counting, generators, file format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kurasync import (
+    GenerationError,
     Graph,
     InputError,
     degree_extrema,
@@ -23,6 +26,7 @@ from _oracles import (
     canonical_graph_arrays,
     edge_list_text,
     er_degree_sequence,
+    pairing_reference,
 )
 
 
@@ -195,7 +199,30 @@ def test_edges_between_rejects_bad_sets():
         edges_between(g, [0, 0, 1], [2])
     with pytest.raises(InputError):
         edges_between(g, [0], [6])
+    with pytest.raises(InputError):
+        edges_between(g, np.array([3, -1]), [2])
     assert edges_between(g, [], [0, 1]) == 0
+    assert edges_between(g, np.empty(0), [0, 1]) == 0
+    # members must be integers: no silent truncation of 0.5 or 2.0
+    for bad in ([0.5], np.array([1.0, 2.0]), [[0], [1]], ["a"], [True, False],
+                [1, [2]], 3, [2 ** 70]):
+        with pytest.raises(InputError):
+            edges_between(g, bad, [0, 1, 2])
+
+
+def test_edges_between_accepts_integer_containers():
+    g = gen_erdos_renyi(200, 0.1, 4)
+    xs = [199, 5, 127, 0, 64]
+    ys = list(range(100, 200))
+    want = bf_edges_between(g, xs, ys)
+    for form in (list, tuple, set, iter, np.array, lambda v: np.array(v, np.uint8),
+                 lambda v: [np.int16(x) for x in v]):
+        assert edges_between(g, form(xs), ys) == want
+    # vertex 127 at the top of int8: no wrap-around when indexing its row end
+    assert edges_between(g, np.array([127, 3], np.int8), ys) == \
+        bf_edges_between(g, [127, 3], ys)
+    assert edges_between(g, range(120, 130), np.array(ys, np.uint16)) == \
+        bf_edges_between(g, range(120, 130), ys)
 
 
 def test_erdos_renyi_reproducible_and_simple():
@@ -251,6 +278,64 @@ def test_random_regular_is_regular_and_simple():
     b = gen_random_regular(30, 4, 5)
     assert np.array_equal(a.edge_arrays()[0], b.edge_arrays()[0])
     assert np.array_equal(a.edge_arrays()[1], b.edge_arrays()[1])
+
+
+def regular_arrays(n, d, seed, max_restarts=10000):
+    try:
+        g = gen_random_regular(n, d, seed, max_restarts=max_restarts)
+    except GenerationError as exc:
+        return str(exc)
+    return tuple(a.tolist() for a in graph_arrays(g))
+
+
+def reference_arrays(n, d, seed, max_restarts=10000):
+    try:
+        return tuple(pairing_reference(n, d, seed, max_restarts))
+    except GenerationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_random_regular_matches_sequential_pairing(data):
+    n = data.draw(st.integers(1, 60), label="n")
+    d = data.draw(st.integers(0, n - 1).filter(lambda d: n * d % 2 == 0), label="d")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    # few restarts, so dense pairings also reach the GenerationError path
+    restarts = data.draw(st.integers(1, 3), label="max_restarts")
+    assert regular_arrays(n, d, seed, restarts) == reference_arrays(n, d, seed, restarts)
+
+
+@pytest.mark.parametrize("n,d,seed", [(2000, 200, 0), (2500, 20, 0), (2500, 20, 1)])
+def test_random_regular_matches_sequential_pairing_at_scale(n, d, seed):
+    got = regular_arrays(n, d, seed)
+    assert isinstance(got, tuple)
+    assert got == reference_arrays(n, d, seed)
+
+
+def test_random_regular_runs_out_of_restarts():
+    # K_12 as a pairing: seeds 0-2 get stuck in their one restart, seed 12
+    # completes it (both read off the sequential oracle)
+    for seed in (0, 1, 2):
+        with pytest.raises(GenerationError, match="in 1 restarts"):
+            gen_random_regular(12, 11, seed, max_restarts=1)
+        with pytest.raises(GenerationError):
+            pairing_reference(12, 11, seed, 1)
+        assert gen_random_regular(12, 11, seed).m == 66
+    assert gen_random_regular(12, 11, 12, max_restarts=1).m == 66
+
+
+def test_random_regular_memory_stays_linear():
+    n, d = 2000, 200
+    tracemalloc.start()
+    try:
+        g = gen_random_regular(n, d, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m == n * d // 2
+    # about 24 MiB for these 200,000 edges
+    assert peak < 128 * g.m
 
 
 def test_random_regular_rejects_impossible():
