@@ -21,12 +21,12 @@ the telescoping mass sum.
 from __future__ import annotations
 
 import csv
-import json
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 from .errors import BracketError, DomainError, InputError, ScheduleError
-from .spectral import ExpanderProfile
+from .spectral import ExpanderProfile, read_json, record_json, write_json
 
 __all__ = [
     "OrderParamBounds",
@@ -191,18 +191,9 @@ class CertResult:
     condition1: float
     condition2: float
     reasons: tuple = ()
-    trace: "AmplificationTrace | None" = None
 
     def to_json_dict(self):
-        out = {
-            "verdict": self.verdict,
-            "condition1": self.condition1,
-            "condition2": self.condition2,
-            "reasons": list(self.reasons),
-        }
-        if self.trace is not None:
-            out["trace"] = self.trace.to_json_dict()
-        return out
+        return record_json(self)
 
 
 def theorem_condition(profile):
@@ -291,42 +282,34 @@ class Schedule:
                 raise InputError("a tail step must be the last step")
 
     def to_json_dict(self):
-        out = []
-        for s in self.steps:
-            d = {"kind": s.kind, "eps": s.eps}
-            if isinstance(s, SmallArcStep):
-                d["rho"] = s.rho
-            out.append(d)
-        return {"steps": out}
+        return record_json(self)
 
     @classmethod
     def from_json_dict(cls, data):
-        try:
-            raw = data["steps"]
-        except (TypeError, KeyError):
+        raw = data.get("steps") if isinstance(data, dict) else None
+        if not isinstance(raw, list):
             raise InputError("schedule JSON must be an object with a 'steps' list")
         steps = []
         for i, d in enumerate(raw):
-            kind = d.get("kind")
-            if kind == "small_arc":
-                steps.append(SmallArcStep(eps=float(d["eps"]), rho=float(d["rho"])))
-            elif kind == "large_arc":
-                steps.append(LargeArcStep(eps=float(d["eps"])))
-            elif kind == "tail":
-                steps.append(TailStep(eps=float(d["eps"])))
-            else:
-                raise InputError(f"step {i}: unknown kind {kind!r}")
+            kind = d.get("kind") if isinstance(d, dict) else None
+            step_type = _STEP_KINDS.get(kind) if isinstance(kind, str) else None
+            if step_type is None:
+                raise InputError(f"step {i} must be an object with a known kind, got {d!r}")
+            names = [f.name for f in dataclasses.fields(step_type) if f.init]
+            try:
+                steps.append(step_type(**{k: float(d[k]) for k in names}))
+            except (KeyError, TypeError, ValueError, OverflowError):
+                raise InputError(
+                    f"step {i} ({kind}) needs numeric {' and '.join(names)}, got {d!r}"
+                ) from None
         return cls(steps=tuple(steps))
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(read_json(path))
 
 
 def preset_regular_schedule():
@@ -357,11 +340,7 @@ class TraceRow:
     status: str  # ok | infeasible | below_zero
 
     def to_json_dict(self):
-        return {
-            "k": self.k, "beta": self.beta, "mass_ratio": self.mass_ratio,
-            "mass_frac": self.mass_frac, "step_kind": self.step_kind,
-            "cap_hit": self.cap_hit, "status": self.status,
-        }
+        return record_json(self)
 
 
 @dataclass(frozen=True)
@@ -375,15 +354,7 @@ class AmplificationTrace:
     reason: str = ""
 
     def to_json_dict(self):
-        return {
-            "rows": [r.to_json_dict() for r in self.rows],
-            "verdict": self.verdict,
-            "final_check_lhs": self.final_check_lhs,
-            "final_check_rhs": self.final_check_rhs,
-            "mode": self.mode,
-            "alpha": self.alpha,
-            "reason": self.reason,
-        }
+        return record_json(self)
 
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -397,6 +368,17 @@ def _fail_trace(rows, rhs, mode, alpha, reason):
     return AmplificationTrace(
         rows=tuple(rows), verdict="fail", final_check_lhs=0.0,
         final_check_rhs=rhs, mode=mode, alpha=alpha, reason=reason,
+    )
+
+
+def _final_trace(rows, lhs, budget, mode, alpha):
+    # the certified mass must strictly exceed the budget
+    passed = lhs > budget
+    return AmplificationTrace(
+        rows=tuple(rows), verdict="pass" if passed else "fail", final_check_lhs=lhs,
+        final_check_rhs=budget, mode=mode, alpha=alpha,
+        reason="" if passed else
+        f"certified mass {lhs:.6g} does not exceed the budget {budget:.6g}",
     )
 
 
@@ -483,17 +465,7 @@ def _schedule_run(profile, schedule, mode, budget):
     if main_lhs is None:
         return _fail_trace(rows, budget, mode, alpha,
                            "schedule has no tail step, so no absolute mass bound exists")
-    lhs = min([main_lhs] + cap_candidates)
-    if lhs > budget:
-        return AmplificationTrace(
-            rows=tuple(rows), verdict="pass", final_check_lhs=lhs,
-            final_check_rhs=budget, mode=mode, alpha=alpha,
-        )
-    return AmplificationTrace(
-        rows=tuple(rows), verdict="fail", final_check_lhs=lhs,
-        final_check_rhs=budget, mode=mode, alpha=alpha,
-        reason=f"certified mass {lhs:.6g} does not exceed the budget {budget:.6g}",
-    )
+    return _final_trace(rows, min([main_lhs] + cap_candidates), budget, mode, alpha)
 
 
 def _auto_proof_run(profile, budget):
@@ -528,17 +500,7 @@ def _auto_proof_run(profile, budget):
     main_lhs = 0.5 * math.sin(beta_final) ** 2
     rows.append(TraceRow(1, beta_mid, gate, 0.0, "stage1", "alpha_n", "ok"))
     rows.append(TraceRow(2, beta_final, gate, 0.5, "tail", "half_n", "ok"))
-    lhs = min(branch_lhs, main_lhs)
-    if lhs > budget:
-        return AmplificationTrace(
-            rows=tuple(rows), verdict="pass", final_check_lhs=lhs,
-            final_check_rhs=budget, mode=mode, alpha=alpha,
-        )
-    return AmplificationTrace(
-        rows=tuple(rows), verdict="fail", final_check_lhs=lhs,
-        final_check_rhs=budget, mode=mode, alpha=alpha,
-        reason=f"certified mass {lhs:.6g} does not exceed the budget {budget:.6g}",
-    )
+    return _final_trace(rows, min(branch_lhs, main_lhs), budget, mode, alpha)
 
 
 def amplification_run(profile, schedule=None, mode="numeric", regular_mode=None):
@@ -588,13 +550,11 @@ def max_alpha_regular(schedule, lo, hi, tol=1e-5):
     if not tol > 0.0:
         raise InputError(f"tol must be positive, got {tol}")
 
+    mode = "paper_proof" if schedule is None else "numeric"
+
     def passes(a):
         prof = ExpanderProfile(n=1, d_ref=1.0, alpha=a, c_minus=-a, c_plus=a)
-        if schedule is None:
-            tr = amplification_run(prof, None, mode="paper_proof", regular_mode=True)
-        else:
-            tr = amplification_run(prof, schedule, mode="numeric", regular_mode=True)
-        return tr.verdict == "pass"
+        return amplification_run(prof, schedule, mode=mode, regular_mode=True).verdict == "pass"
 
     if not passes(lo):
         raise BracketError(f"amplification already fails at the lower endpoint {lo}")

@@ -46,6 +46,8 @@ from .spectral import (
     check_mixing_bounds,
     degree_bounds_from_profile,
     expander_profile,
+    read_json,
+    write_json,
 )
 
 SYNC_RHO = 1.0 - 1e-6
@@ -132,14 +134,40 @@ def build_parser():
     return top
 
 
-def _merge_config(args):
+def _subcommand_flags(parser, command):
+    """The options of one subcommand, keyed by dest (d_ref, step_cap, ...)."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions if a.dest not in ("help", "config")}
+
+
+def _config_value_ok(value, action):
+    # a config value is what the option holds after parsing; null leaves it unset
+    if value is None or isinstance(value, bool):
+        return value is None or action.nargs == 0
+    want = {int: int, float: (int, float)}.get(action.type, str)
+    return (action.nargs != 0 and isinstance(value, want)
+            and (action.choices is None or value in action.choices))
+
+
+def _merge_config(args, parser):
     """Start from the config file (if any), let explicit flags win."""
     cfg = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        loaded = read_json(args.config)
         if not isinstance(loaded, dict):
             raise InputError("config file must hold a JSON object")
+        flags = _subcommand_flags(parser, args.command)
+        for key, value in loaded.items():
+            if key not in flags:
+                raise InputError(
+                    f"config key {key!r} is not an option of {args.command} "
+                    f"(keys are option names in dest spelling: {', '.join(sorted(flags))})"
+                )
+            if not _config_value_ok(value, flags[key]):
+                raise InputError(
+                    f"config key {key!r}: {value!r} is not a valid value for "
+                    f"--{key.replace('_', '-')}"
+                )
         cfg.update(loaded)
     for key, value in vars(args).items():
         if key == "config":
@@ -505,7 +533,7 @@ def run(argv=None):
     """Parse arguments, dispatch, write outputs. Returns a ReportBundle."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _merge_config(args)
+    cfg = _merge_config(args, parser)
     outdir = None
     if cfg.get("out"):
         outdir = Path(cfg["out"])
@@ -517,10 +545,9 @@ def run(argv=None):
         "provenance": _provenance(cfg),
     }
     report.update(body)
-    text = json.dumps(report, indent=2, sort_keys=True)
     if outdir is not None:
         path = outdir / "report.json"
-        path.write_text(text + "\n", encoding="utf-8")
+        write_json(path, report)
         files = [str(path)] + list(files)
     return ReportBundle(report=report, exit_status=status, files=tuple(files))
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError, InputError
+from .spectral import record_json
 
 __all__ = [
     "h_func",
@@ -158,13 +159,7 @@ class ErPrediction:
     verdict: str
 
     def to_json_dict(self):
-        return {
-            "n": self.n, "gamma": self.gamma, "eps": self.eps, "p": self.p,
-            "d_ref": self.d_ref, "alpha_pred": self.alpha_pred,
-            "c_minus_pred": self.c_minus_pred, "c_plus_pred": self.c_plus_pred,
-            "c_minus_eps": self.c_minus_eps, "c_plus_eps": self.c_plus_eps,
-            "failure_prob_bound": self.failure_prob_bound, "verdict": self.verdict,
-        }
+        return record_json(self)
 
 
 def er_prediction(n, gamma, eps):

@@ -40,6 +40,31 @@ DEFAULT_TOL = 1e-8
 _DENSE_CUTOFF = 8
 
 
+def _json_fields(pairs):
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in pairs}
+
+
+def record_json(record):
+    """JSON form of a dataclass record: its fields, tuples as lists."""
+    return dataclasses.asdict(record, dict_factory=_json_fields)
+
+
+def read_json(path):
+    """Parse a JSON file; a file that does not parse is an InputError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise InputError(f"{path} is not valid JSON: {exc}") from None
+
+
+def write_json(path, obj):
+    """Write obj as JSON: indent 2, sorted keys, trailing newline."""
+    text = json.dumps(obj, indent=2, sort_keys=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
 @dataclass(frozen=True)
 class ExpanderProfile:
     """Measured or asserted expansion parameters of one graph."""
@@ -69,15 +94,7 @@ class ExpanderProfile:
             raise InputError(f"profile source must be measured|asserted, got {self.source!r}")
 
     def to_json_dict(self):
-        return {
-            "n": self.n,
-            "d_ref": self.d_ref,
-            "alpha": self.alpha,
-            "c_minus": self.c_minus,
-            "c_plus": self.c_plus,
-            "tol": self.tol,
-            "source": self.source,
-        }
+        return record_json(self)
 
     @classmethod
     def from_json_dict(cls, obj):
@@ -91,18 +108,15 @@ class ExpanderProfile:
                 tol=float(obj.get("tol", 0.0)),
                 source=str(obj.get("source", "asserted")),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed profile JSON: {exc}")
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(read_json(path))
 
 
 def _centered_adjacency_matvec(g, d_ref):
@@ -266,7 +280,7 @@ class MixingEntry:
     slack: float
 
     def to_json_dict(self):
-        return dataclasses.asdict(self)
+        return record_json(self)
 
 
 @dataclass(frozen=True)
@@ -285,15 +299,7 @@ class MixingReport:
         return [e for e in self.entries if e.slack < -self.allowance]
 
     def to_json_dict(self):
-        return {
-            "passed": self.passed,
-            "allowance": self.allowance,
-            "trials": self.trials,
-            "seed": self.seed,
-            "skipped": list(self.skipped),
-            "worst_slack": self.worst() if self.entries else None,
-            "entries": [e.to_json_dict() for e in self.entries],
-        }
+        return record_json(self) | {"worst_slack": self.worst() if self.entries else None}
 
 
 def _bfs_ball(g, src, size):

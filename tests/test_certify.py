@@ -5,6 +5,7 @@ change and against the recursion it is supposed to solve; the schedule
 replay is pinned to hand-verified trace values at alpha = 0.0816.
 """
 
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from kurasync import (
     BracketError,
+    CertResult,
     DomainError,
     ExpanderProfile,
     InputError,
@@ -31,6 +33,9 @@ from kurasync import (
     preset_regular_schedule,
     theorem_condition,
 )
+from kurasync.certify import TraceRow
+from kurasync.randomgraphs import ErPrediction
+from kurasync.spectral import MixingEntry, MixingReport
 
 from _oracles import sign_scan_roots
 
@@ -202,6 +207,99 @@ def test_schedule_json_round_trip(tmp_path):
         Schedule.from_json_dict({"steps": [{"kind": "sideways", "eps": 0.1}]})
     with pytest.raises(InputError):
         Schedule.from_json_dict([1, 2])
+
+
+@pytest.mark.parametrize("data", [
+    {"steps": [{"kind": "tail"}]},  # missing eps
+    {"steps": [{"kind": "tail", "eps": "x"}]},
+    {"steps": [5]},  # a step that is not an object
+    {"steps": 5},
+    {"steps": "tail"},
+    {"steps": [{"kind": "small_arc", "eps": 0.2}]},  # missing rho
+    {"steps": [{"kind": "tail", "eps": None}]},
+    {"steps": [{"kind": "tail", "eps": [0.2]}]},
+    {"steps": [{"kind": "tail", "eps": 10 ** 400}]},
+    {"steps": [{"kind": ["tail"], "eps": 0.2}]},
+    {"steps": []},
+    {},
+    None,
+])
+def test_schedule_json_rejects_malformed_input(data):
+    with pytest.raises(InputError):
+        Schedule.from_json_dict(data)
+
+
+# the JSON text of one fixed instance of every record, as the reports carry it;
+# a new dataclass field changes the reports and must change this table too
+_ROW = TraceRow(3, 1.25, 2.0, 0.0, "small_arc", "alpha_n", "ok")
+_ENTRY = MixingEntry(lemma="cut", X_size=3, Y_size=7, lower=None, value=2.5,
+                     upper=4.75, slack=0.5)
+PINNED_JSON = [
+    (lambda: ExpanderProfile(n=600, d_ref=120.0, alpha=0.15, c_minus=-0.125,
+                             c_plus=0.0625, tol=1e-09, source="measured"),
+     '{"alpha": 0.15, "c_minus": -0.125, "c_plus": 0.0625, "d_ref": 120.0, "n": 600, '
+     '"source": "measured", "tol": 1e-09}'),
+    (lambda: CertResult(verdict="pass", condition1=0.25, condition2=0.5),
+     '{"condition1": 0.25, "condition2": 0.5, "reasons": [], "verdict": "pass"}'),
+    (lambda: CertResult(verdict="fail", condition1=1.5, condition2=0.75,
+                        reasons=("alpha=0.3 exceeds the 1/5 gate",
+                                 "condition1=1.500000 is not below 1")),
+     '{"condition1": 1.5, "condition2": 0.75, "reasons": ["alpha=0.3 exceeds the 1/5 gate", '
+     '"condition1=1.500000 is not below 1"], "verdict": "fail"}'),
+    (preset_regular_schedule,
+     '{"steps": [' + ', '.join(3 * ['{"eps": 0.23, "kind": "small_arc", "rho": 0.38}']
+                               + 4 * ['{"eps": 0.184, "kind": "large_arc"}']
+                               + ['{"eps": 0.184, "kind": "tail"}']) + ']}'),
+    (lambda: _ROW,
+     '{"beta": 1.25, "cap_hit": "alpha_n", "k": 3, "mass_frac": 0.0, "mass_ratio": 2.0, '
+     '"status": "ok", "step_kind": "small_arc"}'),
+    (lambda: amplification_run(regular_profile(0.03), preset_regular_schedule(),
+                               mode="numeric"),
+     '{"alpha": 0.03, "final_check_lhs": 0.010157996547701536, '
+     '"final_check_rhs": 0.0009442739504261267, "mode": "numeric", "reason": "", "rows": ['
+     + ', '.join(
+         f'{{"beta": {beta}, "cap_hit": "{cap}", "k": {k}, "mass_frac": {frac}, '
+         f'"mass_ratio": {ratio}, "status": "ok", "step_kind": "{kind}"}}'
+         for k, (beta, cap, frac, ratio, kind) in enumerate([
+             ("1.5707963267948966", "none", "0.0", "1.0", "start"),
+             ("1.4586696323597543", "alpha_n", "0.0", "4.833333333333334", "small_arc"),
+             ("1.346542937924612", "alpha_n", "0.0", "23.361111111111118", "small_arc"),
+             ("1.2344162434894699", "alpha_n", "0.0", "112.91203703703708", "small_arc"),
+             ("1.2105263406341646", "none", "0.0", "459.17561728395077", "large_arc"),
+             ("1.2046522993584223", "none", "0.0", "1867.314176954733", "large_arc"),
+             ("1.2032078707834164", "none", "0.0", "7593.744319615914", "large_arc"),
+             ("1.2028526835449473", "none", "0.0", "30881.22689977138", "large_arc"),
+             ("1.202736861855365", "half_n", "0.5", "30881.22689977138", "tail"),
+         ]))
+     + '], "verdict": "pass"}'),
+    (lambda: ErPrediction(n=100000, gamma=3.0, eps=0.25, p=0.5, d_ref=34.5,
+                          alpha_pred=0.25, c_minus_pred=-0.5, c_plus_pred=0.75,
+                          c_minus_eps=-0.25, c_plus_eps=0.5, failure_prob_bound=1.0,
+                          verdict="vacuous"),
+     '{"alpha_pred": 0.25, "c_minus_eps": -0.25, "c_minus_pred": -0.5, "c_plus_eps": 0.5, '
+     '"c_plus_pred": 0.75, "d_ref": 34.5, "eps": 0.25, "failure_prob_bound": 1.0, '
+     '"gamma": 3.0, "n": 100000, "p": 0.5, "verdict": "vacuous"}'),
+    (lambda: _ENTRY,
+     '{"X_size": 3, "Y_size": 7, "lemma": "cut", "lower": null, "slack": 0.5, '
+     '"upper": 4.75, "value": 2.5}'),
+    (lambda: MixingReport(entries=(_ENTRY,), skipped=("nested_cut",), passed=True,
+                          allowance=1e-06, trials=4, seed=0),
+     '{"allowance": 1e-06, "entries": [{"X_size": 3, "Y_size": 7, "lemma": "cut", '
+     '"lower": null, "slack": 0.5, "upper": 4.75, "value": 2.5}], "passed": true, '
+     '"seed": 0, "skipped": ["nested_cut"], "trials": 4, "worst_slack": 0.5}'),
+]
+
+
+@pytest.mark.parametrize("make, text", PINNED_JSON)
+def test_record_json_text_is_pinned(make, text, tmp_path):
+    record = make()
+    assert json.dumps(record.to_json_dict(), sort_keys=True) == text
+    if hasattr(record, "save"):
+        path = tmp_path / "record.json"
+        record.save(path)
+        assert path.read_text(encoding="utf-8") == (
+            json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n")
+        assert type(record).load(path) == record
 
 
 def test_amplification_preset_trace():

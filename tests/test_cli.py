@@ -265,6 +265,63 @@ def test_config_file_merging(tmp_path):
     bad.write_text("[1, 2]", encoding="utf-8")
     assert run_cli("generate", "--config", str(bad), "--gen", "cycle:6").returncode == 2
 
+    # keys are option names in dest spelling; values are checked, never converted
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps({"gen": "cycle:6", "seed": 3, "tol": 1, "out": None}),
+                  encoding="utf-8")
+    rep = report_from(run_cli("generate", "--config", str(ok)))
+    assert rep["config"] == {"gen": "cycle:6", "seed": 3, "tol": 1}
+    for command, cfg_obj, named in [
+        ("profile", {"trails": 5}, "trails"),  # misspelt: no mixing check would run
+        ("profile", {"d-ref": 3.0}, "d-ref"),
+        ("generate", {"command": "profile"}, "command"),
+        ("generate", {"trials": 5}, "trials"),  # an option of another subcommand
+        ("simulate", {"runs": "3"}, "runs"),
+        ("simulate", {"runs": 3.0}, "runs"),
+        ("simulate", {"classify": 1}, "classify"),
+        ("generate", {"seed": True}, "seed"),
+        ("generate", {"tol": "1e-3"}, "tol"),
+        ("generate", {"gen": 6}, "gen"),
+        ("certify", {"mode": "sideways"}, "mode"),
+    ]:
+        path = tmp_path / "wrong.json"
+        path.write_text(json.dumps(cfg_obj), encoding="utf-8")
+        proc = run_cli(command, "--config", str(path), "--gen", "cycle:6", "--seed", "0")
+        assert proc.returncode == 2, (command, cfg_obj, proc.stderr)
+        assert proc.stderr.startswith("error:") and repr(named) in proc.stderr, proc.stderr
+
+
+MALFORMED_SCHEDULES = [
+    {"steps": [{"kind": "tail"}]},
+    {"steps": [{"kind": "tail", "eps": "x"}]},
+    {"steps": [5]},
+    {"steps": 5},
+]
+
+
+@pytest.mark.parametrize("schedule", MALFORMED_SCHEDULES)
+def test_threshold_rejects_malformed_schedule(tmp_path, schedule):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(schedule), encoding="utf-8")
+    proc = run_cli("threshold", "--schedule", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:"), proc.stderr
+
+
+@pytest.mark.parametrize("text", ['{"steps": [', "", b"\xff\xfe"])
+def test_malformed_json_files_exit_2(tmp_path, text):
+    path = tmp_path / "broken.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+    for args in (["generate", "--gen", "cycle:6", "--config", str(path)],
+                 ["certify", "--profile", str(path)],
+                 ["threshold", "--schedule", str(path)]):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert proc.stderr.startswith("error:") and str(path) in proc.stderr, proc.stderr
+
 
 def test_usage_errors_exit_2(tmp_path):
     assert run_cli().returncode == 2

@@ -168,8 +168,9 @@ def test_profile_json_round_trip(tmp_path):
     obj = json.loads(path.read_text(encoding="utf-8"))
     assert set(obj) == {"n", "d_ref", "alpha", "c_minus", "c_plus", "tol", "source"}
 
-    with pytest.raises(InputError):
-        ExpanderProfile.from_json_dict({"n": 5})
+    for bad in ({"n": 5}, [1, 2], dict(obj, n=float("inf")), dict(obj, d_ref=10 ** 400)):
+        with pytest.raises(InputError):
+            ExpanderProfile.from_json_dict(bad)
 
 
 def test_degree_window_implications():
