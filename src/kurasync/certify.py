@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BracketError, DomainError, InputError, ScheduleError
-from .spectral import ExpanderProfile, read_json, record_json, write_json
+from .spectral import ExpanderProfile, json_number, read_json, record_json, write_json
 
 __all__ = [
     "OrderParamBounds",
@@ -297,7 +297,7 @@ class Schedule:
                 raise InputError(f"step {i} must be an object with a known kind, got {d!r}")
             names = [f.name for f in dataclasses.fields(step_type) if f.init]
             try:
-                steps.append(step_type(**{k: float(d[k]) for k in names}))
+                steps.append(step_type(**{k: json_number(d, k) for k in names}))
             except (KeyError, TypeError, ValueError, OverflowError):
                 raise InputError(
                     f"step {i} ({kind}) needs numeric {' and '.join(names)}, got {d!r}"

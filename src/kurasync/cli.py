@@ -30,7 +30,7 @@ from .certify import (
     preset_regular_schedule,
     theorem_condition,
 )
-from .dynamics import classify_equilibrium, daido, flow, random_phases
+from .dynamics import classify_equilibrium, flow, random_phases
 from .errors import InputError, KurasyncError
 from .graphs import (
     degree_extrema,
@@ -316,7 +316,7 @@ def _simulate_one(g, seed, grad_tol, step_cap, classify):
     if step_cap is not None:
         kwargs["step_cap"] = step_cap
     res = flow(g, theta0, **kwargs)
-    rho1 = abs(daido(res.final))
+    rho1 = float(res.rho1s[-1])
     row = {
         "seed": seed,
         "steps": res.steps,
@@ -374,11 +374,14 @@ def _cmd_simulate(cfg, outdir):
 
 
 def _cmd_threshold(cfg, outdir):
-    mode = cfg.get("mode") or ("numeric" if cfg.get("schedule") else None)
+    paper_proof = cfg.get("mode") == "paper-proof"
     if cfg.get("schedule"):
+        if paper_proof:
+            raise InputError("--mode paper-proof takes no --schedule: a schedule is replayed "
+                             "in numeric mode only")
         schedule = Schedule.load(cfg["schedule"])
         schedule_desc = str(cfg["schedule"])
-    elif mode == "paper-proof":
+    elif paper_proof:
         schedule = None
         schedule_desc = "auto"
     else:

@@ -58,6 +58,19 @@ def read_json(path):
             raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
+def json_number(obj, key, kind=float):
+    """obj[key], which must be a JSON number, as kind.
+
+    An int is accepted where a float is wanted, as --config accepts it; a
+    bool, a string, or a fraction where an int is wanted raises TypeError.
+    """
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        want = "an integer" if kind is int else "a number"
+        raise TypeError(f"{key} must be {want}, got {value!r}")
+    return kind(value)
+
+
 def write_json(path, obj):
     """Write obj as JSON: indent 2, sorted keys, trailing newline."""
     text = json.dumps(obj, indent=2, sort_keys=True)
@@ -100,12 +113,12 @@ class ExpanderProfile:
     def from_json_dict(cls, obj):
         try:
             return cls(
-                n=int(obj["n"]),
-                d_ref=float(obj["d_ref"]),
-                alpha=float(obj["alpha"]),
-                c_minus=float(obj["c_minus"]),
-                c_plus=float(obj["c_plus"]),
-                tol=float(obj.get("tol", 0.0)),
+                n=json_number(obj, "n", int),
+                d_ref=json_number(obj, "d_ref"),
+                alpha=json_number(obj, "alpha"),
+                c_minus=json_number(obj, "c_minus"),
+                c_plus=json_number(obj, "c_plus"),
+                tol=json_number(obj, "tol") if "tol" in obj else 0.0,
                 source=str(obj.get("source", "asserted")),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -3,14 +3,17 @@
 Everything here recomputes quantities by a route the library does not take:
 dense eigendecompositions built straight from edge arrays, central finite
 differences, brute-force double loops in pure python, sign-scan root
-finding on fine grids, and extended-precision binomial sums.
+finding on fine grids, and extended-precision binomial sums. The two
+``*_reference`` functions are instead frozen copies of earlier library
+code, which faster versions must reproduce bit for bit.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from kurasync import GenerationError
+from kurasync import GenerationError, InputError
 
 
 def canonical_graph_arrays(n, edges):
@@ -236,3 +239,100 @@ def centered_norm_floor(g, d_ref, iters=24, seed=0):
             return 0.0
         x = y / norm
     return math.sqrt(np.linalg.norm(mv(mv(x))))
+
+
+def _ref_wrap_phases(theta):
+    w = np.mod(np.asarray(theta, dtype=np.float64), 2.0 * np.pi)
+    return np.where(w > np.pi, w - 2.0 * np.pi, w)
+
+
+def _ref_check_state(g, theta):
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (g.n,):
+        raise InputError(f"state has shape {theta.shape}, graph has n={g.n}")
+    return theta
+
+
+def _ref_energy(g, theta):
+    theta = _ref_check_state(g, theta)
+    eu, ev = g.edge_arrays()
+    if len(eu) == 0:
+        return 0.0
+    half = 0.5 * (theta[eu] - theta[ev])
+    return float(2.0 * np.sum(np.sin(half) ** 2))
+
+
+def _ref_gradient(g, theta):
+    theta = _ref_check_state(g, theta)
+    z = np.exp(1j * theta)
+    az = g.adjacency() @ z
+    return np.imag(z * np.conj(az))
+
+
+def _ref_daido(theta, k=1):
+    theta = np.asarray(theta, dtype=np.float64)
+    return complex(np.mean(np.exp(1j * k * theta)))
+
+
+def flow_reference(g, theta0, grad_tol=1e-10, step_cap=10 ** 6, dt_init=None):
+    """The adaptive Euler flow as it stood before its per-step rework.
+
+    A frozen copy of the library's earlier flow, energy, gradient,
+    wrap_phases and daido bodies, which evaluated exp(i*theta) twice per
+    accepted state (once for the gradient, once for rho_1). The library's
+    flow must return bitwise the same fields; this copy must not follow
+    later library changes. Returns a SimpleNamespace with FlowResult's fields.
+    """
+    theta = _ref_wrap_phases(_ref_check_state(g, theta0))
+    d_max = int(g.degrees.max()) if g.n else 0
+    if d_max == 0:
+        grad = _ref_gradient(g, theta)
+        gn = float(np.max(np.abs(grad))) if g.n else 0.0
+        return SimpleNamespace(
+            final=theta, steps=0, terminated="converged",
+            times=np.array([0.0]), energies=np.array([_ref_energy(g, theta)]),
+            grad_norms=np.array([gn]), rho1s=np.array([abs(_ref_daido(theta))]),
+        )
+    dt_cap = 1.0 / (2.0 * d_max)
+    dt = dt_init if dt_init is not None else 1.0 / (4.0 * d_max)
+    dt = min(dt, dt_cap)
+    t = 0.0
+    ene = _ref_energy(g, theta)
+    grad = _ref_gradient(g, theta)
+    gn = float(np.max(np.abs(grad)))
+    times, energies, grad_norms, rho1s = [t], [ene], [gn], [abs(_ref_daido(theta))]
+    steps = 0
+    terminated = "converged"
+    while gn >= grad_tol:
+        if steps >= step_cap:
+            terminated = "step_cap"
+            break
+        trial = _ref_wrap_phases(theta - dt * grad)
+        ene_trial = _ref_energy(g, trial)
+        if ene_trial <= ene:
+            if np.array_equal(trial, theta):
+                # dt * grad underflowed every phase ulp: float64 cannot
+                # resolve further descent (happens near minima with E > 0)
+                terminated = "stalled"
+                break
+            theta = trial
+            ene = ene_trial
+            t += dt
+            steps += 1
+            grad = _ref_gradient(g, theta)
+            gn = float(np.max(np.abs(grad)))
+            times.append(t)
+            energies.append(ene)
+            grad_norms.append(gn)
+            rho1s.append(abs(_ref_daido(theta)))
+            dt = min(dt * 1.2, dt_cap)
+        else:
+            dt *= 0.5
+            if dt < 1e-18:
+                terminated = "stalled"
+                break
+    return SimpleNamespace(
+        final=theta, steps=steps, terminated=terminated,
+        times=np.asarray(times), energies=np.asarray(energies),
+        grad_norms=np.asarray(grad_norms), rho1s=np.asarray(rho1s),
+    )

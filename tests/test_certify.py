@@ -203,6 +203,10 @@ def test_schedule_json_round_trip(tmp_path):
     sched.save(path)
     assert Schedule.load(path) == sched
 
+    # JSON ints are numbers, as in --config, and load as floats
+    ints = Schedule.from_json_dict({"steps": [{"kind": "tail", "eps": 1}]})
+    assert json.dumps(ints.to_json_dict()) == json.dumps(
+        Schedule(steps=(TailStep(eps=1.0),)).to_json_dict())
     with pytest.raises(InputError):
         Schedule.from_json_dict({"steps": [{"kind": "sideways", "eps": 0.1}]})
     with pytest.raises(InputError):
@@ -223,6 +227,9 @@ def test_schedule_json_round_trip(tmp_path):
     {"steps": []},
     {},
     None,
+    {"steps": [{"kind": "tail", "eps": "0.2"}]},  # a string is not a number
+    {"steps": [{"kind": "tail", "eps": True}]},
+    {"steps": [{"kind": "small_arc", "eps": 0.2, "rho": True}]},
 ])
 def test_schedule_json_rejects_malformed_input(data):
     with pytest.raises(InputError):

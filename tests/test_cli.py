@@ -206,6 +206,20 @@ def test_threshold_paper_proof_mode():
     assert rep["min_ramanujan_degree"] == 404527
 
 
+def test_threshold_rejects_schedule_in_paper_proof_mode(tmp_path):
+    # an explicit schedule is replayed in numeric mode only, so asking for
+    # paper-proof as well is a conflict, not a silent switch of mode
+    path = tmp_path / "schedule.json"
+    preset_regular_schedule().save(path)
+    proc = run_cli("threshold", "--schedule", str(path), "--mode", "paper-proof")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:"), proc.stderr
+    proc = run_cli("threshold", "--schedule", str(path), "--mode", "numeric",
+                   "--lo", "0.07", "--hi", "0.09")
+    assert proc.returncode == 0
+    assert report_from(proc)["mode"] == "numeric"
+
+
 def test_er_predict_vacuous_at_realistic_n():
     proc = run_cli("er-predict", "--n", "500", "--gamma", "3", "--eps", "0.25")
     assert proc.returncode == 1
@@ -340,3 +354,16 @@ def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert proc.stdout.startswith("kurasync ")
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # both are imported lazily, where they are used: loading them with the
+    # CLI would add to the start-up time of every command
+    lazy = ("scipy.optimize", "scipy.sparse.csgraph")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, kurasync.cli; print([m for m in {lazy!r} if m in sys.modules])"],
+        capture_output=True, text=True, timeout=120, env=CLI_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -9,10 +9,11 @@ forms cannot hide.
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -28,6 +29,7 @@ from kurasync import (
     flow,
     gen_erdos_renyi,
     gen_named,
+    gen_random_regular,
     gradient,
     half_circle_check,
     hessian,
@@ -38,7 +40,7 @@ from kurasync import (
     s_func,
     wrap_phases,
 )
-from kurasync import cli, spectral
+from kurasync import cli, dynamics, spectral
 from kurasync.dynamics import _SPARSE_MIN_N
 
 from _oracles import (
@@ -47,6 +49,7 @@ from _oracles import (
     dense_min_eig_orthogonal,
     fd_gradient,
     fd_jacobian,
+    flow_reference,
 )
 
 # cycle flows crawl near saddles; every cycle flow below caps its steps
@@ -255,6 +258,93 @@ def test_flow_csv_round_trip(tmp_path):
     last = [float(tok) for tok in lines[-1].split(",")]
     assert last[1] == float(res.energies[-1])  # repr round trip is exact
     assert res.energy_trace[0] == (0.0, float(res.energies[0]))
+
+
+FLOW_FIELDS = ("steps", "terminated", "final", "times", "energies", "grad_norms", "rho1s")
+FLOW_GRAPHS = ("cycle", "path", "star", "complete", "two_cliques_bridged", "er", "regular",
+               "edgeless")
+
+
+@st.composite
+def flow_cases(draw):
+    """(graph, theta0, flow keyword arguments) over every graph kind and exit."""
+    kind = draw(st.sampled_from(FLOW_GRAPHS), label="kind")
+    seed = draw(st.integers(0, 2 ** 16), label="seed")
+    rng = np.random.default_rng(seed)
+    if kind == "cycle":
+        g = gen_named("cycle", draw(st.integers(3, 16), label="n"))
+        # near a twisted state, which stalls at positive energy
+        q = draw(st.integers(0, g.n // 4), label="twist")
+    elif kind == "two_cliques_bridged":
+        g = gen_named(kind, 2 * draw(st.integers(2, 8), label="half"))
+    elif kind == "er":
+        n = draw(st.integers(1, 40), label="n")
+        g = gen_erdos_renyi(n, draw(st.floats(0.02, 0.9), label="p"), seed)
+    elif kind == "regular":
+        d = draw(st.integers(1, 5), label="d")
+        n = draw(st.integers(d + 1, 30), label="n")
+        g = gen_random_regular(n + (n * d) % 2, d, seed)
+    elif kind == "edgeless":
+        g = Graph(draw(st.integers(1, 12), label="n"), np.empty((0, 2), dtype=np.int64))
+    else:
+        g = gen_named(kind, draw(st.integers(1, 16), label="n"))
+    # phases outside (-pi, pi], and values on the wrap's branch point
+    theta0 = rng.uniform(-7.0, 7.0, size=g.n)
+    if kind == "cycle" and q:
+        theta0 = 2.0 * np.pi * q * np.arange(g.n) / g.n + rng.normal(0.0, 1e-3, size=g.n)
+    for i, v in draw(st.lists(st.tuples(st.integers(0, g.n - 1),
+                                        st.sampled_from([np.pi, -np.pi, 3 * np.pi, -0.0])),
+                              max_size=3), label="special phases"):
+        theta0[i] = v
+    # the cap keeps the rare flow that creeps past a saddle from taking seconds
+    kwargs = draw(st.fixed_dictionaries(
+        {"step_cap": st.integers(0, 40) | st.just(3000)},
+        optional={"dt_init": st.floats(1e-6, 5.0),
+                  "grad_tol": st.sampled_from([1e-14, 1e-6, 1e-2])},
+    ), label="flow arguments")
+    return g, theta0, kwargs
+
+
+class _ExpCountingNumpy:
+    """numpy, with every np.exp call counted."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, *args, **kwargs):
+        self.exp_calls += 1
+        return np.exp(*args, **kwargs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flow_cases())
+# the three exits, pinned: converged, step_cap, and stalled in the twisted well
+@example((gen_named("complete", 10), random_phases(10, 0), {}))
+@example((gen_named("cycle", 12), random_phases(12, 7), {"step_cap": 5}))
+@example((gen_named("cycle", 10), random_phases(10, 1), {"step_cap": CYCLE_CAP}))
+def test_flow_is_bitwise_the_reference_flow(case):
+    g, theta0, kwargs = case
+    before = theta0.tobytes()
+    counting = _ExpCountingNumpy()
+    with mock.patch.object(dynamics, "np", counting):
+        res = flow(g, theta0, **kwargs)
+    ref = flow_reference(g, theta0, **kwargs)
+    event(f"terminated {res.terminated}")
+    for name in FLOW_FIELDS:
+        got, want = getattr(res, name), getattr(ref, name)
+        if isinstance(want, np.ndarray):
+            # tobytes compares every bit, the sign of zero included
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            assert got == want, name
+    # one exp(i*theta) per accepted state, gradient and rho_1 included
+    assert counting.exp_calls == res.steps + 1
+    wrap_phases(theta0)
+    assert theta0.tobytes() == before
 
 
 def test_classify_equilibrium_all_classes():

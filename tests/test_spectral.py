@@ -168,7 +168,13 @@ def test_profile_json_round_trip(tmp_path):
     obj = json.loads(path.read_text(encoding="utf-8"))
     assert set(obj) == {"n", "d_ref", "alpha", "c_minus", "c_plus", "tol", "source"}
 
-    for bad in ({"n": 5}, [1, 2], dict(obj, n=float("inf")), dict(obj, d_ref=10 ** 400)):
+    # JSON ints are numbers for the float fields, as in --config, and load as floats
+    ints = ExpanderProfile.from_json_dict(dict(obj, d_ref=8, alpha=0, tol=0))
+    floats = dataclasses.replace(prof, d_ref=8.0, alpha=0.0, tol=0.0)
+    assert json.dumps(ints.to_json_dict()) == json.dumps(floats.to_json_dict())
+    for bad in ({"n": 5}, [1, 2], dict(obj, n=float("inf")), dict(obj, d_ref=10 ** 400),
+                dict(obj, n=1.9), dict(obj, n=50.0), dict(obj, n=True), dict(obj, alpha="0.1"),
+                dict(obj, c_minus=True), dict(obj, c_plus=None), dict(obj, tol="0")):
         with pytest.raises(InputError):
             ExpanderProfile.from_json_dict(bad)
 
