@@ -20,13 +20,13 @@ the telescoping mass sum.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
 from .errors import BracketError, DomainError, InputError, ScheduleError
-from .spectral import ExpanderProfile, json_number, read_json, record_json, write_json
+from .spectral import ExpanderProfile, json_number, read_json, record_json, write_csv, write_json
 
 __all__ = [
     "OrderParamBounds",
@@ -54,6 +54,18 @@ FIXED_POINT_TOL = 1e-14
 FIXED_POINT_MAX_ITERS = 10 ** 6
 
 
+def _bisect(inside, lo, hi, tol):
+    """Halve [lo, hi] until it is at most tol wide; inside(lo) holds and
+    inside(hi) fails on entry, and both stay so. Returns the final (lo, hi)."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def cubic_root_a(alpha):
     """Unique real root of a^3 + (2a-1)... the order-parameter cubic.
 
@@ -72,12 +84,7 @@ def cubic_root_a(alpha):
     lo, hi = 2.0 * alpha ** 4, 1.0
     if p(lo) >= 0.0 or p(hi) <= 0.0:  # cannot happen in the gated domain
         raise DomainError(f"root bracket [2*alpha^4, 1] is invalid at alpha={alpha}")
-    while hi - lo > ROOT_TOL:
-        mid = 0.5 * (lo + hi)
-        if p(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda a: p(a) < 0.0, lo, hi, ROOT_TOL)
     return 0.5 * (lo + hi)
 
 
@@ -152,19 +159,13 @@ def order_param_bounds(alpha, regular_mode=False):
     )
 
 
-_validity_limit_cache = {}
-
-
+@functools.cache
 def order_param_validity_limit(regular_mode=True, tol=1e-9):
     """Largest alpha (to tol) where order_param_bounds still succeeds.
 
     Recomputed by bisection on the recursion itself rather than hard-coded,
     so a change to the recursion moves the limit with it.
     """
-    key = (bool(regular_mode), tol)
-    if key in _validity_limit_cache:
-        return _validity_limit_cache[key]
-
     def ok(x):
         try:
             a, _, _ = _fixed_point(x, regular_mode)
@@ -175,14 +176,7 @@ def order_param_validity_limit(regular_mode=True, tol=1e-9):
     lo, hi = 0.15, 0.30
     if not ok(lo) or ok(hi):
         raise BracketError("validity-limit bracket [0.15, 0.30] is invalid")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    _validity_limit_cache[key] = lo
-    return lo
+    return _bisect(ok, lo, hi, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -357,11 +351,8 @@ class AmplificationTrace:
         return record_json(self)
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k", "beta_k", "mass_frac", "step_kind"])
-            for r in self.rows:
-                w.writerow([r.k, repr(r.beta), repr(r.mass_frac), r.step_kind])
+        write_csv(path, ["k", "beta_k", "mass_frac", "step_kind"],
+                  ((r.k, r.beta, r.mass_frac, r.step_kind) for r in self.rows))
 
 
 def _fail_trace(rows, rhs, mode, alpha, reason):
@@ -560,13 +551,7 @@ def max_alpha_regular(schedule, lo, hi, tol=1e-5):
         raise BracketError(f"amplification already fails at the lower endpoint {lo}")
     if passes(hi):
         raise BracketError(f"amplification still passes at the upper endpoint {hi}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect(passes, lo, hi, tol)[0]
 
 
 def min_ramanujan_degree(alpha_threshold):

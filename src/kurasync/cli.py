@@ -11,7 +11,6 @@ pass/success, 1 fail verdict, 2 error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +29,7 @@ from .certify import (
     preset_regular_schedule,
     theorem_condition,
 )
-from .dynamics import classify_equilibrium, flow, random_phases
+from .dynamics import GRAD_TOL, STEP_CAP, classify_equilibrium, flow, random_phases
 from .errors import InputError, KurasyncError
 from .graphs import (
     degree_extrema,
@@ -47,11 +46,14 @@ from .spectral import (
     degree_bounds_from_profile,
     expander_profile,
     read_json,
+    write_csv,
     write_json,
 )
 
 SYNC_RHO = 1.0 - 1e-6
 NAMED_FAMILIES = ("cycle", "path", "complete", "star", "two_cliques_bridged")
+EIGEN_TOL_HELP = ("eigensolver residual bound on the profile's alpha, c_minus and c_plus, "
+                  "in units of d_ref (default 1e-8)")
 
 
 @dataclass(frozen=True)
@@ -69,11 +71,11 @@ def build_parser():
     top.add_argument("--version", action="version", version=f"kurasync {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
+    seed_help = "base seed for anything stochastic"
+
     def common(p, graph=False):
         p.add_argument("--config", help="JSON file of option defaults; flags win")
         p.add_argument("--out", help="output directory (created if needed)")
-        p.add_argument("--seed", type=int, help="base seed for anything stochastic")
-        p.add_argument("--tol", type=float, help="command-specific tolerance")
         if graph:
             p.add_argument("--graph", help="edge-list file ('n m' header, one 'u v' line per edge)")
             p.add_argument(
@@ -86,22 +88,30 @@ def build_parser():
 
     p = sub.add_parser("generate", help="generate a graph and write its edge list")
     common(p, graph=True)
+    p.add_argument("--seed", type=int, help=seed_help)
 
     p = sub.add_parser("profile", help="measure the expander profile of a graph")
     common(p, graph=True)
+    p.add_argument("--seed", type=int, help=seed_help)
+    p.add_argument("--tol", type=float, help=EIGEN_TOL_HELP)
     p.add_argument("--trials", type=int, help="random mixing-bound checks to run (default 0)")
     p.add_argument("--d-ref", type=float, help="reference degree override (default 2m/n)")
 
     p = sub.add_parser("certify", help="run the synchronization certificate")
     common(p, graph=True)
+    p.add_argument("--seed", type=int, help=seed_help)
+    p.add_argument("--tol", type=float, help=EIGEN_TOL_HELP)
     p.add_argument("--profile", help="load a saved profile JSON instead of measuring a graph")
     p.add_argument("--schedule", help="JSON amplification schedule path")
     p.add_argument("--mode", choices=["paper-proof", "numeric"], help="amplification mode")
 
     p = sub.add_parser("simulate", help="integrate the gradient flow from random states")
     common(p, graph=True)
+    p.add_argument("--seed", type=int, help=seed_help)
+    p.add_argument("--tol", type=float,
+                   help="gradient sup-norm below which a run has converged and its "
+                        "final state counts as an equilibrium (default 1e-10)")
     p.add_argument("--runs", type=int, help="number of random initial states (default 1)")
-    p.add_argument("--workers", type=int, help="worker threads (default 1)")
     p.add_argument("--step-cap", type=int, help="max accepted steps per run")
     p.add_argument("--classify", action="store_true", default=None,
                    help="classify the final state of each run (sparse Hessian "
@@ -109,6 +119,8 @@ def build_parser():
 
     p = sub.add_parser("threshold", help="largest certified alpha for regular-shape profiles")
     common(p)
+    p.add_argument("--tol", type=float,
+                   help="bracket width at which bisection stops (default 1e-5)")
     p.add_argument("--schedule", help="JSON amplification schedule path (default: built-in preset)")
     p.add_argument("--mode", choices=["paper-proof", "numeric"], help="amplification mode")
     p.add_argument("--lo", type=float, help="bracket lower end (default 0.001)")
@@ -121,7 +133,8 @@ def build_parser():
     p.add_argument("--eps", type=float, help="slack of the certified window")
 
     p = sub.add_parser("sweep", help="parameter sweeps emitting CSV tables")
-    common(p, graph=False)
+    common(p)
+    p.add_argument("--seed", type=int, help=seed_help)
     p.add_argument("--kind", choices=["gamma-roots", "alpha-condition", "er-sample"])
     p.add_argument("--lo", type=float)
     p.add_argument("--hi", type=float)
@@ -310,12 +323,7 @@ def _cmd_certify(cfg, outdir):
 
 def _simulate_one(g, seed, grad_tol, step_cap, classify):
     theta0 = random_phases(g.n, seed)
-    kwargs = {}
-    if grad_tol is not None:
-        kwargs["grad_tol"] = grad_tol
-    if step_cap is not None:
-        kwargs["step_cap"] = step_cap
-    res = flow(g, theta0, **kwargs)
+    res = flow(g, theta0, grad_tol=grad_tol, step_cap=step_cap)
     rho1 = float(res.rho1s[-1])
     row = {
         "seed": seed,
@@ -327,7 +335,7 @@ def _simulate_one(g, seed, grad_tol, step_cap, classify):
         "synchronized": bool(rho1 > SYNC_RHO),
     }
     if classify:
-        row["classification"] = classify_equilibrium(g, res.final).classification
+        row["classification"] = classify_equilibrium(g, res.final, grad_tol=grad_tol).classification
     return row, res
 
 
@@ -337,18 +345,10 @@ def _cmd_simulate(cfg, outdir):
     runs = cfg.get("runs") or 1
     if runs < 1:
         raise InputError(f"--runs must be positive, got {runs}")
-    workers = cfg.get("workers") or 1
-    grad_tol, step_cap = cfg.get("tol"), cfg.get("step_cap")
+    grad_tol = cfg.get("tol") if cfg.get("tol") is not None else GRAD_TOL
+    step_cap = cfg.get("step_cap") if cfg.get("step_cap") is not None else STEP_CAP
     classify = bool(cfg.get("classify"))
-    seeds = [seed + i for i in range(runs)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda s: _simulate_one(g, s, grad_tol, step_cap, classify), seeds))
-    else:
-        results = [_simulate_one(g, s, grad_tol, step_cap, classify) for s in seeds]
-    # merge in seed order regardless of completion order
-    results.sort(key=lambda pair: pair[0]["seed"])
+    results = [_simulate_one(g, seed + i, grad_tol, step_cap, classify) for i in range(runs)]
     rows = [row for row, _ in results]
     sync_fraction = sum(r["synchronized"] for r in rows) / runs
     report = {
@@ -363,12 +363,8 @@ def _cmd_simulate(cfg, outdir):
         results[0][1].to_csv(flow_path)
         files.append(str(flow_path))
         runs_path = outdir / "runs.csv"
-        with open(runs_path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            cols = list(rows[0].keys())
-            w.writerow(cols)
-            for r in rows:
-                w.writerow([r[c] for c in cols])
+        cols = list(rows[0].keys())
+        write_csv(runs_path, cols, ([r[c] for c in cols] for r in rows))
         files.append(str(runs_path))
     return report, 0, files
 
@@ -411,14 +407,6 @@ def _cmd_er_predict(cfg, outdir):
     return report, status, []
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
 def _sweep_gamma_roots(cfg, outdir):
     lo = cfg.get("lo") if cfg.get("lo") is not None else 1.001
     hi = cfg.get("hi") if cfg.get("hi") is not None else 10.0
@@ -431,7 +419,7 @@ def _sweep_gamma_roots(cfg, outdir):
     files = []
     if outdir is not None:
         path = outdir / "sweep.csv"
-        _write_csv(path, ["gamma", "c_minus", "c_plus"], rows)
+        write_csv(path, ["gamma", "c_minus", "c_plus"], rows)
         files.append(str(path))
     report = {
         "kind": "gamma-roots",
@@ -459,7 +447,7 @@ def _sweep_alpha_condition(cfg, outdir):
     files = []
     if outdir is not None:
         path = outdir / "sweep.csv"
-        _write_csv(path, ["alpha", "condition1", "condition2", "verdict"], rows)
+        write_csv(path, ["alpha", "condition1", "condition2", "verdict"], rows)
         files.append(str(path))
     report = {"kind": "alpha-condition", "points": points, "range": [lo, hi], "passes": n_pass}
     return report, 0, files
@@ -494,7 +482,7 @@ def _sweep_er_sample(cfg, outdir):
     files = []
     if outdir is not None:
         path = outdir / "sweep.csv"
-        _write_csv(
+        write_csv(
             path,
             ["seed", "measured_alpha", "measured_c_minus", "measured_c_plus", "d_min", "d_max"],
             rows,

@@ -8,14 +8,13 @@ descent property to cancellation once the flow is nearly converged.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import ConsistencyError, InputError
-from .spectral import _extreme_eigenpair
+from .spectral import _extreme_eigenpair, write_csv
 
 __all__ = [
     "wrap_phases",
@@ -220,11 +219,8 @@ class FlowResult:
         return list(zip(self.times.tolist(), self.energies.tolist()))
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time", "energy", "grad_norm", "rho1"])
-            for row in zip(self.times, self.energies, self.grad_norms, self.rho1s):
-                w.writerow([repr(float(v)) for v in row])
+        write_csv(path, ["time", "energy", "grad_norm", "rho1"],
+                  zip(self.times, self.energies, self.grad_norms, self.rho1s))
 
 
 def flow(g, theta0, grad_tol=GRAD_TOL, step_cap=STEP_CAP, dt_init=None):

@@ -10,6 +10,7 @@ accuracy is certified by explicit residual norms, never by iteration count.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 from collections import deque
@@ -76,6 +77,19 @@ def write_json(path, obj):
     text = json.dumps(obj, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
+
+
+def write_csv(path, header, rows):
+    """Write a header and rows as CSV, floats as repr(float(v)).
+
+    float() drops numpy's repr (np.float64 is a float subclass), so every
+    float is written as the shortest text that reads back to the same double.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@
 Everything here recomputes quantities by a route the library does not take:
 dense eigendecompositions built straight from edge arrays, central finite
 differences, brute-force double loops in pure python, sign-scan root
-finding on fine grids, and extended-precision binomial sums. The two
+finding on fine grids, and extended-precision binomial sums. The
 ``*_reference`` functions are instead frozen copies of earlier library
-code, which faster versions must reproduce bit for bit.
+code, which faster or merged versions must reproduce bit for bit.
 """
 
+import csv
 import math
 from types import SimpleNamespace
 
@@ -336,3 +337,45 @@ def flow_reference(g, theta0, grad_tol=1e-10, step_cap=10 ** 6, dt_init=None):
         times=np.asarray(times), energies=np.asarray(energies),
         grad_norms=np.asarray(grad_norms), rho1s=np.asarray(rho1s),
     )
+
+
+# Frozen copies of the four CSV writers as they stood before all CSV went
+# through spectral.write_csv: FlowResult.to_csv, AmplificationTrace.to_csv,
+# simulate's runs.csv block and the sweeps' writer. Every sidecar the CLI
+# writes must match them byte for byte.
+
+def flow_csv_reference(path, res):
+    """flow.csv from a FlowResult; its fields hold np.float64 values."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["time", "energy", "grad_norm", "rho1"])
+        for row in zip(res.times, res.energies, res.grad_norms, res.rho1s):
+            w.writerow([repr(float(v)) for v in row])
+
+
+def trace_csv_reference(path, trace):
+    """trace.csv from an AmplificationTrace."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["k", "beta_k", "mass_frac", "step_kind"])
+        for r in trace.rows:
+            w.writerow([r.k, repr(r.beta), repr(r.mass_frac), r.step_kind])
+
+
+def runs_csv_reference(path, rows):
+    """runs.csv from simulate's report rows."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        cols = list(rows[0].keys())
+        w.writerow(cols)
+        for r in rows:
+            w.writerow([r[c] for c in cols])
+
+
+def sweep_csv_reference(path, header, rows):
+    """sweep.csv from a header and row tuples."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(v) if isinstance(v, float) else v for v in row])

@@ -14,8 +14,28 @@ import numpy as np
 import pytest
 
 import kurasync
-from kurasync import read_edge_list
+from _oracles import (
+    flow_csv_reference,
+    runs_csv_reference,
+    sweep_csv_reference,
+    trace_csv_reference,
+)
+from kurasync import (
+    Schedule,
+    amplification_run,
+    degree_extrema,
+    er_prediction,
+    expander_profile,
+    flow,
+    gamma_roots,
+    gen_erdos_renyi,
+    gen_named,
+    random_phases,
+    read_edge_list,
+    theorem_condition,
+)
 from kurasync.certify import preset_regular_schedule
+from kurasync.cli import run
 from kurasync.spectral import ExpanderProfile
 
 CYCLE_CAP = "20000"
@@ -172,12 +192,27 @@ def test_simulate_cycle_finds_twisted_states(tmp_path):
     assert flow_csv[0] == "time,energy,grad_norm,rho1"
 
 
-def test_simulate_workers_match_serial():
+def test_simulate_rejects_workers(tmp_path):
+    # runs go serially in seed order; there is no thread pool to size
     base = ["simulate", "--gen", "complete:12", "--seed", "3", "--runs", "8"]
-    serial = report_from(run_cli(*base))
-    threaded = report_from(run_cli(*base, "--workers", "4"))
-    assert serial["runs"] == threaded["runs"]
-    assert serial["sync_fraction"] == 1.0
+    proc = run_cli(*base, "--workers", "4")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --workers" in proc.stderr, proc.stderr
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 4}), encoding="utf-8")
+    proc = run_cli(*base, "--config", str(cfg))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "'workers'" in proc.stderr, proc.stderr
+
+
+def test_simulate_tol_reaches_classifier():
+    # a run that converged to gradient --tol is an equilibrium at that bound
+    proc = run_cli("simulate", "--gen", "er:60,0.2", "--seed", "0", "--runs", "4",
+                   "--tol", "1e-6", "--classify")
+    assert proc.returncode == 0, proc.stderr
+    converged = [r for r in report_from(proc)["runs"] if r["terminated"] == "converged"]
+    assert converged
+    assert [r for r in converged if r["classification"] == "not_equilibrium"] == []
 
 
 def test_simulate_requires_seed():
@@ -255,14 +290,92 @@ def test_sweep_alpha_condition():
     assert 0 < rep["passes"] < 40  # condition flips somewhere inside
 
 
-def test_sweep_er_sample():
-    proc = run_cli("sweep", "--kind", "er-sample", "--n", "200", "--gamma", "3",
-                   "--eps", "0.25", "--seed", "1", "--samples", "3")
-    assert proc.returncode == 0
-    rep = report_from(proc)
+def test_sweep_er_sample(tmp_path):
+    base = ["sweep", "--kind", "er-sample", "--n", "200", "--gamma", "3",
+            "--eps", "0.25", "--seed", "1", "--samples", "3"]
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert run_cli(*base, "--out", str(serial)).returncode == 0
+    rep = report_from_dir(serial)
     assert rep["samples"] == 3
     assert 0 <= rep["profiles_inside_certified_window"] <= 3
     assert rep["mean_measured_alpha"] > 0.0
+    # the worker pool changes nothing but the echoed option
+    assert run_cli(*base, "--workers", "2", "--out", str(pooled)).returncode == 0
+    rep_pooled = report_from_dir(pooled)
+    for r in (rep, rep_pooled):
+        del r["provenance"], r["config"]
+    assert rep_pooled == rep
+    assert (pooled / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+
+
+def test_csv_sidecars_match_frozen_writers(tmp_path):
+    # each sidecar is byte for byte what the writers wrote before they were
+    # merged into one; flow.csv rows are np.float64 values
+    def sidecars(name, *argv):
+        out = tmp_path / name
+        return out, run([*argv, "--out", str(out)]).report
+
+    def check(path, reference, *args):
+        expected = tmp_path / "expected.csv"
+        reference(expected, *args)
+        assert path.read_bytes() == expected.read_bytes(), path
+
+    out, rep = sidecars("simulate", "simulate", "--gen", "cycle:10", "--seed", "0",
+                        "--runs", "3", "--step-cap", "500", "--classify")
+    check(out / "runs.csv", runs_csv_reference, rep["runs"])
+    res = flow(gen_named("cycle", 10), random_phases(10, 0), step_cap=500)
+    assert isinstance(res.energies[0], np.float64)
+    check(out / "flow.csv", flow_csv_reference, res)
+
+    prof = ExpanderProfile(n=600, d_ref=600.0, alpha=0.0816, c_minus=-0.0816,
+                           c_plus=0.0816)
+    prof.save(tmp_path / "profile.json")
+    preset_regular_schedule().save(tmp_path / "schedule.json")
+    for mode in ("numeric", "paper-proof"):
+        schedule = ["--schedule", str(tmp_path / "schedule.json")] if mode == "numeric" else []
+        out, _ = sidecars(mode, "certify", "--profile", str(tmp_path / "profile.json"),
+                          "--mode", mode, *schedule)
+        sched = Schedule.load(tmp_path / "schedule.json") if schedule else None
+        check(out / "trace.csv", trace_csv_reference,
+              amplification_run(prof, sched, mode=mode.replace("-", "_")))
+
+    out, _ = sidecars("gamma", "sweep", "--kind", "gamma-roots", "--lo", "1.5", "--hi", "3.0",
+                      "--points", "5")
+    rows = [(float(x), *gamma_roots(float(x))) for x in np.geomspace(1.5, 3.0, 5)]
+    check(out / "sweep.csv", sweep_csv_reference, ["gamma", "c_minus", "c_plus"], rows)
+
+    out, _ = sidecars("alpha", "sweep", "--kind", "alpha-condition", "--points", "7")
+    rows = []
+    for a in np.linspace(0.001, 0.2, 7):
+        res = theorem_condition(ExpanderProfile(n=1, d_ref=1.0, alpha=float(a),
+                                                c_minus=-float(a), c_plus=float(a)))
+        rows.append((float(a), res.condition1, res.condition2, res.verdict))
+    check(out / "sweep.csv", sweep_csv_reference,
+          ["alpha", "condition1", "condition2", "verdict"], rows)
+
+    out, _ = sidecars("er", "sweep", "--kind", "er-sample", "--n", "200", "--gamma", "3",
+                      "--eps", "0.25", "--seed", "1", "--samples", "2")
+    pred = er_prediction(200, 3.0, 0.25)
+    rows = []
+    for s in (1, 2):
+        g = gen_erdos_renyi(200, pred.p, s)
+        p = expander_profile(g, d_ref=pred.d_ref)
+        rows.append((s, p.alpha, p.c_minus, p.c_plus, *degree_extrema(g)))
+    check(out / "sweep.csv", sweep_csv_reference,
+          ["seed", "measured_alpha", "measured_c_minus", "measured_c_plus", "d_min", "d_max"],
+          rows)
+
+
+# (subcommand, option it does not take, arguments it needs); simulate's
+# --workers has its own test
+PREDICT_ARGS = ["--n", "500", "--gamma", "3", "--eps", "0.25"]
+REMOVED_OPTIONS = [
+    ("generate", "tol", ["--gen", "cycle:6"]),
+    ("threshold", "seed", []),
+    ("er-predict", "seed", PREDICT_ARGS),
+    ("er-predict", "tol", PREDICT_ARGS),
+    ("sweep", "tol", ["--kind", "gamma-roots", "--points", "3"]),
+]
 
 
 def test_config_file_merging(tmp_path):
@@ -283,7 +396,7 @@ def test_config_file_merging(tmp_path):
     ok = tmp_path / "ok.json"
     ok.write_text(json.dumps({"gen": "cycle:6", "seed": 3, "tol": 1, "out": None}),
                   encoding="utf-8")
-    rep = report_from(run_cli("generate", "--config", str(ok)))
+    rep = report_from(run_cli("profile", "--config", str(ok)))
     assert rep["config"] == {"gen": "cycle:6", "seed": 3, "tol": 1}
     for command, cfg_obj, named in [
         ("profile", {"trails": 5}, "trails"),  # misspelt: no mixing check would run
@@ -294,7 +407,7 @@ def test_config_file_merging(tmp_path):
         ("simulate", {"runs": 3.0}, "runs"),
         ("simulate", {"classify": 1}, "classify"),
         ("generate", {"seed": True}, "seed"),
-        ("generate", {"tol": "1e-3"}, "tol"),
+        ("profile", {"tol": "1e-3"}, "tol"),
         ("generate", {"gen": 6}, "gen"),
         ("certify", {"mode": "sideways"}, "mode"),
     ]:
@@ -303,6 +416,13 @@ def test_config_file_merging(tmp_path):
         proc = run_cli(command, "--config", str(path), "--gen", "cycle:6", "--seed", "0")
         assert proc.returncode == 2, (command, cfg_obj, proc.stderr)
         assert proc.stderr.startswith("error:") and repr(named) in proc.stderr, proc.stderr
+
+    # a subcommand that never reads --seed or --tol takes neither as a key
+    for command, key, args in REMOVED_OPTIONS:
+        path.write_text(json.dumps({key: 1}), encoding="utf-8")
+        proc = run_cli(command, "--config", str(path), *args)
+        assert proc.returncode == 2, (command, key, proc.stderr)
+        assert proc.stderr.startswith("error:") and repr(key) in proc.stderr, proc.stderr
 
 
 MALFORMED_SCHEDULES = [
@@ -348,6 +468,10 @@ def test_usage_errors_exit_2(tmp_path):
     g.write_text("2 1\n0 1\n", encoding="utf-8")
     assert run_cli("generate", "--graph", str(g), "--gen", "cycle:5").returncode == 2
     assert run_cli("generate", "--graph", str(tmp_path / "nope.txt")).returncode == 2
+    for command, key, args in REMOVED_OPTIONS:
+        proc = run_cli(command, *args, f"--{key}", "1")
+        assert proc.returncode == 2, (command, key)
+        assert f"unrecognized arguments: --{key}" in proc.stderr, proc.stderr
 
 
 def test_version_flag():
