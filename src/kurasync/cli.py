@@ -298,6 +298,10 @@ def _cmd_certify(cfg, outdir):
     if len(sources) != 1:
         raise InputError("exactly one of --graph, --gen, --profile is required")
     if cfg.get("profile") is not None:
+        # a saved profile carries its own tol, and there is no graph to sample
+        for key in ("tol", "seed"):
+            if cfg.get(key) is not None:
+                raise InputError(f"--{key} does not apply to certify --profile")
         prof = ExpanderProfile.load(cfg["profile"])
         report = {"profile": prof.to_json_dict(), "profile_source": str(cfg["profile"])}
     else:
@@ -498,15 +502,23 @@ def _sweep_er_sample(cfg, outdir):
     return report, 0, files
 
 
+# each sweep kind, with the options it reads; it takes no other sweep option
+_SWEEPS = {
+    "gamma-roots": (_sweep_gamma_roots, ("lo", "hi", "points")),
+    "alpha-condition": (_sweep_alpha_condition, ("lo", "hi", "points")),
+    "er-sample": (_sweep_er_sample, ("n", "gamma", "eps", "seed", "samples", "workers")),
+}
+
+
 def _cmd_sweep(cfg, outdir):
     kind = _require(cfg, "kind", "to choose a sweep")
-    if kind == "gamma-roots":
-        return _sweep_gamma_roots(cfg, outdir)
-    if kind == "alpha-condition":
-        return _sweep_alpha_condition(cfg, outdir)
-    if kind == "er-sample":
-        return _sweep_er_sample(cfg, outdir)
-    raise InputError(f"unknown sweep kind {kind!r}")
+    sweep, keys = _SWEEPS[kind]
+    others = sorted({k for _, ks in _SWEEPS.values() for k in ks} - set(keys))
+    unread = [f"--{k}" for k in others if cfg.get(k) is not None]
+    if unread:
+        raise InputError(f"sweep --kind {kind} does not take {', '.join(unread)} "
+                         f"(its options: {', '.join('--' + k for k in keys)})")
+    return sweep(cfg, outdir)
 
 
 _DISPATCH = {

@@ -8,7 +8,7 @@ is documented wherever counts surface.
 
 from __future__ import annotations
 
-import io
+import itertools
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -61,11 +61,14 @@ class Graph:
         if len(outside):
             u, v = pairs[outside[0]]
             raise InputError(f"edge ({u}, {v}) out of range for n={n}")
-        # sort and drop repeats: np.unique's hashing path is far slower on
-        # int64 keys of this size
-        key = np.sort(lo * n + hi)
+        # key lo * n + hi, formed in lo's buffer; sort and drop repeats
+        # (np.unique's hashing path is far slower on int64 keys of this size)
+        key = np.multiply(lo, n, out=lo)
+        key += hi
+        del hi
+        key.sort()
         key = key[np.diff(key, prepend=-1) > 0]
-        self._build(n, key // n, key % n)
+        self._build(n, key // n, np.remainder(key, n, out=key))
 
     @classmethod
     def _from_sorted_pairs(cls, n, eu, ev):
@@ -77,13 +80,18 @@ class Graph:
 
     def _build(self, n, eu, ev):
         self.n = n
-        self.m = len(eu)
+        self.m = m = len(eu)
         self._eu, self._ev = eu, ev
-        # both orientations keyed row-major: sorted keys are the CSR order
-        key = np.concatenate([eu * n + ev, ev * n + eu])
+        # both orientations keyed row-major: sorted keys are the CSR order;
+        # filled and reduced in place, so no 2m-entry temporary is made
+        key = np.empty(2 * m, dtype=np.int64)
+        np.multiply(eu, n, out=key[:m])
+        key[:m] += ev
+        np.multiply(ev, n, out=key[m:])
+        key[m:] += eu
         key.sort()
         self._indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
-        self._indices = key % n
+        self._indices = np.remainder(key, n, out=key)
         data = np.ones(len(key), dtype=np.float64)
         self._csr = csr_matrix((data, self._indices, self._indptr), shape=(n, n))
 
@@ -142,7 +150,8 @@ def gen_named(family, n):
     if family == "complete":
         if n < 1:
             raise InputError(f"complete needs n >= 1, got {n}")
-        return Graph(n, np.column_stack(np.triu_indices(n, 1)))
+        # triu_indices lists the pairs u < v in lexicographic order
+        return Graph._from_sorted_pairs(n, *np.triu_indices(n, 1))
     if family == "star":
         if n < 1:
             raise InputError(f"star needs n >= 1, got {n}")
@@ -155,6 +164,9 @@ def gen_named(family, n):
         clique = np.column_stack(np.triu_indices(half, 1))
         return Graph(n, np.concatenate((clique, clique + half, [(half - 1, half)])))
     raise InputError(f"unknown graph family {family!r}")
+
+
+_ER_BLOCK = 1 << 18  # uniforms per draw in gen_erdos_renyi
 
 
 def gen_erdos_renyi(n, p, seed):
@@ -174,17 +186,15 @@ def gen_erdos_renyi(n, p, seed):
     offsets = np.zeros(n, dtype=np.int64)
     np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=offsets[1:])
     total = int(offsets[-1])
-    us, vs = [], []
-    block = 1 << 21
-    for start in range(0, total, block):
-        take = min(block, total - start)
-        hits = np.flatnonzero(rng.random(take) < p) + start
-        rows = np.searchsorted(offsets, hits, side="right") - 1
-        us.append(rows)
-        vs.append(hits - offsets[rows] + rows + 1)
-    empty = np.empty(0, dtype=np.int64)
-    eu = np.concatenate(us) if us else empty
-    ev = np.concatenate(vs) if vs else empty
+    hits = [np.empty(0, dtype=np.int64)]  # pair indices of the edges
+    for start in range(0, total, _ER_BLOCK):
+        take = min(_ER_BLOCK, total - start)
+        hits.append(np.flatnonzero(rng.random(take) < p) + start)
+    hits = np.concatenate(hits)
+    eu = np.searchsorted(offsets, hits, side="right") - 1
+    # ev = hits - offsets[eu] + eu + 1, formed in hits' buffer
+    ev = np.subtract(hits, offsets[eu], out=hits)
+    ev += eu + 1
     return Graph._from_sorted_pairs(n, eu, ev)
 
 
@@ -310,36 +320,43 @@ _WRITE_BLOCK = 1 << 16  # edge lines per formatting call in write_edge_list
 def write_edge_list(g, path):
     """Write the text format: first line "n m", then m lines "u v", u < v."""
     eu, ev = g.edge_arrays()
-    flat = np.column_stack([eu, ev]).ravel()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{g.n} {g.m}\n")
         # one %-format per block of lines: as fast as formatting all lines
-        # at once, with only one block's Python ints alive
-        for i in range(0, len(flat), 2 * _WRITE_BLOCK):
-            block = flat[i : i + 2 * _WRITE_BLOCK].tolist()
-            fh.write("%d %d\n" * (len(block) // 2) % tuple(block))
+        # at once, with only one block's pairs and Python ints alive
+        for i in range(0, g.m, _WRITE_BLOCK):
+            block = np.column_stack((eu[i : i + _WRITE_BLOCK], ev[i : i + _WRITE_BLOCK]))
+            fh.write("%d %d\n" * len(block) % tuple(block.ravel().tolist()))
+
+
+def _next_nonblank(lines):
+    """The next line that holds more than whitespace, or "" at the end."""
+    return next((line for line in lines if not line.isspace()), "")
 
 
 def read_edge_list(path):
     """Read the edge-list text format, rejecting any format violation."""
     with open(path, "r", encoding="utf-8") as fh:
-        header, _, body = fh.read().lstrip().partition("\n")
-    header = header.rstrip()
-    if not header:
-        raise InputError(f"{path}: empty edge-list file")
-    head = header.split()
-    if len(head) != 2:
-        raise InputError(f"{path}: header must be 'n m', got {header!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise InputError(f"{path}: non-integer header {header!r}")
-    pairs = np.empty((0, 2), dtype=np.int64)
-    if body and not body.isspace():
+        # the body is parsed straight from the file, line by line, so no
+        # copy of the whole text is held
+        header = _next_nonblank(fh).strip()
+        if not header:
+            raise InputError(f"{path}: empty edge-list file")
+        head = header.split()
+        if len(head) != 2:
+            raise InputError(f"{path}: header must be 'n m', got {header!r}")
         try:
-            pairs = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
-        except ValueError as exc:
-            raise InputError(f"{path}: bad edge line: {exc}")
+            n, m = int(head[0]), int(head[1])
+        except ValueError:
+            raise InputError(f"{path}: non-integer header {header!r}")
+        pairs = np.empty((0, 2), dtype=np.int64)
+        first = _next_nonblank(fh)
+        if first:
+            try:
+                pairs = np.loadtxt(itertools.chain((first,), fh), dtype=np.int64,
+                                   comments=None, ndmin=2)
+            except ValueError as exc:
+                raise InputError(f"{path}: bad edge line: {exc}")
     if len(pairs) != m:
         raise InputError(f"{path}: header claims {m} edges, found {len(pairs)}")
     if pairs.shape[1] != 2:

@@ -10,9 +10,10 @@ probability bounds; Monte Carlo validation lives in the test suite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, DomainError, InputError
+from .errors import BracketError, ConsistencyError, DomainError, InputError, NumericalError
 from .spectral import record_json
 
 __all__ = [
@@ -43,6 +44,10 @@ SYMMETRIZATION_MILESTONES = (
 )
 
 _ROOT_XTOL = 1e-13
+# scipy.optimize.brentq's defaults: its rtol floor, 4 * machine epsilon, and
+# its iteration cap
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
 
 
 def h_func(c):
@@ -56,12 +61,61 @@ def h_func(c):
     return (1.0 + c) * math.log1p(c) - c
 
 
-def _h_root(target, lo, hi):
-    # imported here: scipy.optimize adds about a quarter second to every
-    # CLI start, and only these root finders use it
-    from scipy.optimize import brentq
+def _brent(f, xa, xb, xtol):
+    """Root of f in the bracket [xa, xb] by Brent's method.
 
-    return brentq(lambda c: h_func(c) - target, lo, hi, xtol=_ROOT_XTOL)
+    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4,
+    in the form of scipy's brentq.c: the same bracket, step and bisection
+    tests in the same order, with brentq's default rtol and iteration cap,
+    so every root is bitwise what scipy.optimize.brentq returns.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise BracketError(f"f({xpre!r}) = {fpre!r} and f({xcur!r}) = {fcur!r} have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise NumericalError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations",
+                         residual=abs(fcur))
+
+
+def _h_root(target, lo, hi):
+    return _brent(lambda c: h_func(c) - target, lo, hi, _ROOT_XTOL)
 
 
 def _h_root_negative(target):

@@ -219,6 +219,20 @@ def er_degree_sequence(n, p, seed):
     return deg
 
 
+def er_edges_reference(n, p, seed):
+    """Edge arrays (u, v) of G(n, p) from one draw of all C(n, 2) uniforms.
+
+    np.triu_indices lists the pairs row-major, the order the generator
+    walks them, and a pair is an edge where its uniform is below p. The
+    generator, which draws the same stream block by block, must return
+    these arrays exactly.
+    """
+    rng = np.random.default_rng(seed)
+    iu, iv = np.triu_indices(n, 1)
+    keep = rng.random(len(iu)) < p
+    return iu[keep], iv[keep]
+
+
 def centered_norm_floor(g, d_ref, iters=24, seed=0):
     """Lower estimate of ||A - (d/n)J|| by fixed-iteration power method.
 

@@ -169,6 +169,15 @@ def test_certify_requires_exactly_one_source(tmp_path):
     proc = run_cli("certify", "--gen", "cycle:5", "--mode", "numeric")
     assert proc.returncode == 2  # numeric without schedule
 
+    # a saved profile carries its own tol, and there is no graph to sample
+    cfg = tmp_path / "cfg.json"
+    for key, value in (("tol", 0.5), ("seed", 9)):
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        for args in ([f"--{key}", str(value)], ["--config", str(cfg)]):
+            proc = run_cli("certify", "--profile", str(prof_path), *args)
+            assert proc.returncode == 2, (args, proc.stderr)
+            assert proc.stderr.startswith("error:") and f"--{key}" in proc.stderr, proc.stderr
+
 
 def test_simulate_cycle_finds_twisted_states(tmp_path):
     out = tmp_path / "run"
@@ -288,6 +297,34 @@ def test_sweep_alpha_condition():
     assert proc.returncode == 0
     rep = report_from(proc)
     assert 0 < rep["passes"] < 40  # condition flips somewhere inside
+
+
+def test_sweep_rejects_options_its_kind_does_not_read(tmp_path):
+    kinds = {
+        "gamma-roots": ["--points", "3"],
+        "alpha-condition": ["--points", "3"],
+        "er-sample": ["--n", "200", "--gamma", "3", "--eps", "0.25", "--seed", "1",
+                      "--samples", "1"],
+    }
+    unread = {
+        "gamma-roots": {"n": 7, "gamma": 3.0, "eps": 0.25, "seed": 5, "samples": 9,
+                        "workers": 4},
+        "alpha-condition": {"n": 7, "seed": 5, "workers": 4},
+        "er-sample": {"lo": 1.5, "hi": 3.0, "points": 3},
+    }
+    path = tmp_path / "cfg.json"
+    for kind, options in unread.items():
+        for key, value in options.items():
+            for args in ([f"--{key}", str(value)], ["--config", str(path)]):
+                path.write_text(json.dumps({key: value}), encoding="utf-8")
+                proc = run_cli("sweep", "--kind", kind, *kinds[kind], *args)
+                assert proc.returncode == 2, (kind, args, proc.stderr)
+                assert proc.stderr.startswith("error:") and f"--{key}" in proc.stderr, \
+                    proc.stderr
+    # a null config value leaves the option unset
+    path.write_text(json.dumps({"workers": None}), encoding="utf-8")
+    proc = run_cli("sweep", "--kind", "gamma-roots", "--points", "3", "--config", str(path))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sweep_er_sample(tmp_path):
@@ -480,14 +517,26 @@ def test_version_flag():
     assert proc.stdout.startswith("kurasync ")
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # both are imported lazily, where they are used: loading them with the
-    # CLI would add to the start-up time of every command
+def test_cli_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
+    # loading either with the CLI would add to the start-up time of every
+    # command: csgraph is imported where it is used, and no command uses
+    # scipy.optimize, the root finder being the package's own
     lazy = ("scipy.optimize", "scipy.sparse.csgraph")
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys, kurasync.cli; print([m for m in {lazy!r} if m in sys.modules])"],
-        capture_output=True, text=True, timeout=120, env=CLI_ENV,
+    commands = [
+        ["er-predict", *PREDICT_ARGS],
+        ["sweep", "--kind", "gamma-roots", "--points", "3"],
+        ["sweep", "--kind", "alpha-condition", "--points", "3"],
+        ["sweep", "--kind", "er-sample", "--n", "200", "--gamma", "3", "--eps", "0.25",
+         "--seed", "1", "--samples", "1"],
+    ]
+    script = (
+        "import sys, kurasync.cli\n"
+        f"print([m for m in {lazy!r} if m in sys.modules])\n"
+        f"for argv in {commands!r}:\n"
+        "    kurasync.cli.run(argv)\n"
+        "    print('scipy.optimize' in sys.modules)\n"
     )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=CLI_ENV, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n") == ["[]", *["False"] * len(commands), ""]

@@ -1,5 +1,6 @@
 """Graph container, exact pair counting, generators, file format."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,12 +21,14 @@ from kurasync import (
     read_edge_list,
     write_edge_list,
 )
+from kurasync import graphs
 
 from _oracles import (
     bf_edges_between,
     canonical_graph_arrays,
     edge_list_text,
     er_degree_sequence,
+    er_edges_reference,
     pairing_reference,
 )
 
@@ -265,6 +268,53 @@ def test_erdos_renyi_degree_stream_oracle():
         assert np.array_equal(er_degree_sequence(n, p, seed), g.degrees)
 
 
+@pytest.mark.parametrize("n,p,seed,block", [
+    (12, 0.3, 0, 100),  # 66 pairs: one partial block
+    (12, 0.3, 1, 66),  # exactly one block
+    (40, 0.2, 2, 64),  # 780 pairs: twelve blocks and a partial one
+    (1500, 0.01, 3, None),  # 1,124,250 pairs: four real blocks and a partial one
+])
+def test_erdos_renyi_blocks_match_one_draw(monkeypatch, n, p, seed, block):
+    if block is None:
+        assert n * (n - 1) // 2 > 4 * graphs._ER_BLOCK
+    else:
+        monkeypatch.setattr(graphs, "_ER_BLOCK", block)
+    eu, ev = gen_erdos_renyi(n, p, seed).edge_arrays()
+    want_u, want_v = er_edges_reference(n, p, seed)
+    assert len(want_u) > 0
+    assert np.array_equal(eu, want_u) and np.array_equal(ev, want_v)
+
+
+def traced_peak(call):
+    """(result, peak bytes that tracemalloc saw allocated during call)."""
+    tracemalloc.start()
+    try:
+        out = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_erdos_renyi_memory_stays_small():
+    n = 10_000
+    g, peak = traced_peak(lambda: gen_erdos_renyi(n, 3 * math.log(n) / n, 0))
+    assert g.m == 137_931
+    # about 58 bytes per edge: 2 MiB of uniforms per block, then the graph
+    # build; one block of 2^21 uniforms alone would break the bound
+    assert peak < 100 * g.m
+
+
+def test_read_edge_list_memory_stays_small(tmp_path):
+    path = tmp_path / "k800.txt"
+    write_edge_list(gen_named("complete", 800), path)
+    g, peak = traced_peak(lambda: read_edge_list(path))
+    assert g.m == 319_600
+    # about 80 bytes per edge: the parsed pairs, then the graph build; a
+    # str and a StringIO copy of the file's text would break the bound
+    assert peak < 100 * g.m
+
+
 def test_random_regular_is_regular_and_simple():
     for n, d, seed in [(20, 3, 0), (50, 7, 1), (16, 15, 2)]:
         g = gen_random_regular(n, d, seed)
@@ -327,12 +377,7 @@ def test_random_regular_runs_out_of_restarts():
 
 def test_random_regular_memory_stays_linear():
     n, d = 2000, 200
-    tracemalloc.start()
-    try:
-        g = gen_random_regular(n, d, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    g, peak = traced_peak(lambda: gen_random_regular(n, d, 0))
     assert g.m == n * d // 2
     # about 24 MiB for these 200,000 edges
     assert peak < 128 * g.m

@@ -6,13 +6,19 @@ Monte Carlo against the actual generator on fixed seeds.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from kurasync import (
+    BracketError,
     DomainError,
     InputError,
+    NumericalError,
     binom_tail_ratio_check,
     chernoff_degree_bound,
     concentration_tail,
@@ -26,10 +32,12 @@ from kurasync import (
     symmetrization_factor,
     symmetrization_norm_bound,
 )
+from kurasync import randomgraphs
 from kurasync.randomgraphs import (
     CERTIFIABLE_VERDICT,
     SYMMETRIZATION_MILESTONES,
     VACUOUS_VERDICT,
+    _brent,
 )
 
 from _oracles import centered_norm_floor, er_degree_sequence, exact_binom_ratio
@@ -85,6 +93,61 @@ def test_gamma_roots_limits_and_values():
         gamma_roots(1.0)
     with pytest.raises(DomainError):
         gamma_roots(0.5)
+
+
+def brent_checked_against_brentq(f, xa, xb, xtol):
+    """_brent's root, asserted bitwise equal to scipy's brentq on the same
+    call; where brentq rejects the bracket, _brent must raise BracketError."""
+    try:
+        want = brentq(f, xa, xb, xtol=xtol)
+    except ValueError:
+        with pytest.raises(BracketError):
+            _brent(f, xa, xb, xtol)
+        raise
+    got = _brent(f, xa, xb, xtol)
+    assert got.hex() == want.hex(), (xa, xb)
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_brent_roots_are_bitwise_brentq(data):
+    # every root the package takes, on h(c) - t over its own brackets
+    t = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), label="target")
+    eps = data.draw(st.floats(1e-3, 0.9), label="eps")
+    gamma = data.draw(st.floats(1.0 + eps, 1.0 + eps ** -2, exclude_min=True,
+                                exclude_max=True), label="gamma")
+    with mock.patch.object(randomgraphs, "_brent", brent_checked_against_brentq):
+        for target in (t, 1.0 / gamma, (1.0 + eps) / gamma):
+            randomgraphs._h_root_positive(target)
+            try:
+                randomgraphs._h_root_negative(target)
+            except ValueError:
+                # the bracket's left end has h = 1 - 3.6e-14, so only
+                # targets above that have no root in it
+                assert target > 1.0 - 4e-14
+        try:
+            gamma_roots_eps(gamma, eps)
+        except ValueError:
+            assert (1.0 + eps) / gamma > 1.0 - 4e-14
+
+
+def test_brent_failures_are_typed():
+    # h - 0.5 is negative on the whole bracket
+    with pytest.raises(BracketError, match="same sign"):
+        _brent(lambda c: h_func(c) - 0.5, 0.1, 0.2, 1e-13)
+    # a sign step at 0 with the smallest xtol: the bracket shrinks towards
+    # 0 from 1e300 by halves, far beyond 100 iterations
+    def step(x):
+        return -1.0 if x < 0.0 else 1.0
+
+    with pytest.raises(NumericalError, match="100 iterations"):
+        _brent(step, -1e300, 1e300, 5e-324)
+    with pytest.raises(RuntimeError):
+        brentq(step, -1e300, 1e300, xtol=5e-324)
+    # gamma this close to 1 puts 1/gamma above h on all of (-1 + 1e-15, 0)
+    with pytest.raises(BracketError):
+        gamma_roots(1.0 + 1e-15)
 
 
 def test_gamma_roots_eps_sandwich():
