@@ -22,7 +22,6 @@ from .graphs import (
     Graph,
     degree_extrema,
     edges_between,
-    from_edge_list,
     gen_erdos_renyi,
     gen_named,
     gen_random_regular,

@@ -17,7 +17,6 @@ from .errors import GenerationError, InputError
 
 __all__ = [
     "Graph",
-    "from_edge_list",
     "gen_named",
     "gen_erdos_renyi",
     "gen_random_regular",
@@ -31,12 +30,13 @@ __all__ = [
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1.
 
-    Stores a CSR-style neighbor structure (sorted, symmetric, no loops,
-    no multi-edges) and the scipy adjacency built from it. Safe to share
+    Stores the m edges as lexsorted int64 arrays (u, v) with u < v, and the
+    scipy CSR adjacency (both orientations, sorted rows, unit weights, in
+    scipy's index dtype), which is the only neighbor store. Safe to share
     across threads after construction.
     """
 
-    __slots__ = ("n", "m", "_indptr", "_indices", "_eu", "_ev", "_csr")
+    __slots__ = ("n", "m", "_eu", "_ev", "_csr")
 
     def __init__(self, n, edges):
         if not isinstance(n, (int, np.integer)) or n < 1:
@@ -90,23 +90,29 @@ class Graph:
         np.multiply(ev, n, out=key[m:])
         key[m:] += eu
         key.sort()
-        self._indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
-        self._indices = np.remainder(key, n, out=key)
-        data = np.ones(len(key), dtype=np.float64)
-        self._csr = csr_matrix((data, self._indices, self._indptr), shape=(n, n))
+        indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
+        np.remainder(key, n, out=key)
+        # scipy keeps int32 indices when they fit; cast before the data is
+        # made, so the int64 keys and the data are never alive together
+        if max(n, 2 * m) <= np.iinfo(np.int32).max:
+            key = key.astype(np.int32)
+        data = np.ones(2 * m, dtype=np.float64)
+        self._csr = csr_matrix((data, key, indptr), shape=(n, n))
 
     @property
     def degrees(self):
-        return np.diff(self._indptr)
+        return np.diff(self._csr.indptr)
 
     def degree(self, x):
-        return int(self._indptr[x + 1] - self._indptr[x])
+        return len(self.neighbors(x))
 
     def neighbors(self, x):
         """Sorted neighbor array of vertex x (a read-only view)."""
         if not (0 <= x < self.n):
             raise InputError(f"vertex {x} out of range")
-        return self._indices[self._indptr[x]:self._indptr[x + 1]]
+        view = self._csr.indices[self._csr.indptr[x]:self._csr.indptr[x + 1]]
+        view.flags.writeable = False
+        return view
 
     def edge_arrays(self):
         """The m edges as parallel arrays (u, v) with u < v, lexsorted."""
@@ -118,15 +124,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def from_edge_list(n, edges):
-    """Build a Graph from an iterable of unordered vertex pairs.
-
-    Duplicate pairs (in either orientation) collapse to a single edge.
-    Out-of-range endpoints and self-loops raise InputError.
-    """
-    return Graph(n, edges)
 
 
 def gen_named(family, n):
@@ -281,31 +278,21 @@ def _as_vertex_array(g, X):
 
 
 def edges_between(g, X, Y):
-    """e(X, Y) = sum_{x in X} sum_{y in Y} A[x, y], exactly.
+    """e(X, Y) = sum_{x in X} sum_{y in Y} A[x, y] = 1_X^T A 1_Y, exactly.
 
     Double-sum convention: an edge with both endpoints in X contributes 2
     to e(X, X). X and Y may overlap. Members must be integers, distinct
     within each set and in 0..n-1; anything else raises InputError.
+
+    The bilinear form is one float64 product A @ 1_Y, then an integer sum
+    of its X entries. Every entry and partial sum is an integer at most
+    2m < 2^53, so the float arithmetic is exact.
     """
     xs = _as_vertex_array(g, X)
     ys = _as_vertex_array(g, Y)
-    if len(xs) == 0 or len(ys) == 0:
-        return 0
-    in_y = np.zeros(g.n, dtype=bool)
-    in_y[ys] = True
-    starts = g._indptr[xs]
-    counts = g._indptr[xs + 1] - starts
-    nz = counts > 0
-    starts, counts = starts[nz], counts[nz]
-    if len(starts) == 0:
-        return 0
-    # flat ragged-range gather of all neighbor slices at once
-    cum = np.cumsum(counts)
-    flat = np.ones(cum[-1], dtype=np.int64)
-    flat[0] = starts[0]
-    flat[cum[:-1]] = starts[1:] - starts[:-1] - counts[:-1] + 1
-    neigh = g._indices[np.cumsum(flat)]
-    return int(in_y[neigh].sum())
+    in_y = np.zeros(g.n)
+    in_y[ys] = 1.0
+    return int((g.adjacency() @ in_y)[xs].astype(np.int64).sum())
 
 
 def degree_extrema(g):
@@ -336,27 +323,32 @@ def _next_nonblank(lines):
 
 def read_edge_list(path):
     """Read the edge-list text format, rejecting any format violation."""
-    with open(path, "r", encoding="utf-8") as fh:
-        # the body is parsed straight from the file, line by line, so no
-        # copy of the whole text is held
-        header = _next_nonblank(fh).strip()
-        if not header:
-            raise InputError(f"{path}: empty edge-list file")
-        head = header.split()
-        if len(head) != 2:
-            raise InputError(f"{path}: header must be 'n m', got {header!r}")
-        try:
-            n, m = int(head[0]), int(head[1])
-        except ValueError:
-            raise InputError(f"{path}: non-integer header {header!r}")
-        pairs = np.empty((0, 2), dtype=np.int64)
-        first = _next_nonblank(fh)
-        if first:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            # the body is parsed straight from the file, line by line, so no
+            # copy of the whole text is held
+            header = _next_nonblank(fh).strip()
+            if not header:
+                raise InputError(f"{path}: empty edge-list file")
+            head = header.split()
+            if len(head) != 2:
+                raise InputError(f"{path}: header must be 'n m', got {header!r}")
             try:
-                pairs = np.loadtxt(itertools.chain((first,), fh), dtype=np.int64,
-                                   comments=None, ndmin=2)
-            except ValueError as exc:
-                raise InputError(f"{path}: bad edge line: {exc}")
+                n, m = int(head[0]), int(head[1])
+            except ValueError:
+                raise InputError(f"{path}: non-integer header {header!r}")
+            pairs = np.empty((0, 2), dtype=np.int64)
+            first = _next_nonblank(fh)
+            if first:
+                try:
+                    pairs = np.loadtxt(itertools.chain((first,), fh), dtype=np.int64,
+                                       comments=None, ndmin=2)
+                except UnicodeDecodeError:
+                    raise
+                except ValueError as exc:
+                    raise InputError(f"{path}: bad edge line: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: edge-list file is not UTF-8 text ({exc.reason})") from None
     if len(pairs) != m:
         raise InputError(f"{path}: header claims {m} edges, found {len(pairs)}")
     if pairs.shape[1] != 2:

@@ -119,8 +119,13 @@ def _h_root(target, lo, hi):
 
 
 def _h_root_negative(target):
-    # h decreases from 1 to 0 on (-1, 0], so a root exists iff 0 < target < 1
-    return _h_root(target, -1.0 + 1e-15, -1e-300)
+    # h decreases from 1 to 0 on (-1, 0], so a root exists iff 0 < target < 1;
+    # above h(lo) = 1 - 3.55e-14 it lies left of the bracket
+    lo = -1.0 + 1e-15
+    if target > h_func(lo):
+        raise DomainError(f"gamma is too close to the window's lower end: h(c) = {target!r} "
+                          f"has its negative root within 1e-15 of -1")
+    return _h_root(target, lo, -1e-300)
 
 
 def _h_root_positive(target):

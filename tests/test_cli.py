@@ -277,6 +277,14 @@ def test_er_predict_vacuous_at_realistic_n():
     assert proc.returncode == 2  # eps is required
 
 
+def test_er_predict_gamma_at_window_lower_end_exits_2():
+    proc = run_cli("er-predict", "--n", "1000", "--gamma", "1.25000000000001",
+                   "--eps", "0.25")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: gamma is too close to the window's lower end"), \
+        proc.stderr
+
+
 def test_sweep_gamma_roots(tmp_path):
     out = tmp_path / "run"
     proc = run_cli("sweep", "--kind", "gamma-roots", "--lo", "1.5", "--hi", "3.0",
@@ -492,6 +500,16 @@ def test_malformed_json_files_exit_2(tmp_path, text):
         proc = run_cli(*args)
         assert proc.returncode == 2, (args, proc.stderr)
         assert proc.stderr.startswith("error:") and str(path) in proc.stderr, proc.stderr
+
+
+def test_non_utf8_edge_list_exits_2(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"3 1\n0 \xff1\n")
+    proc = run_cli("generate", "--graph", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {path}: edge-list file is not UTF-8 text"), \
+        proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_usage_errors_exit_2(tmp_path):

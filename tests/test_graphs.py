@@ -14,7 +14,6 @@ from kurasync import (
     InputError,
     degree_extrema,
     edges_between,
-    from_edge_list,
     gen_erdos_renyi,
     gen_named,
     gen_random_regular,
@@ -71,7 +70,7 @@ def test_named_family_errors():
 
 def test_constructor_normalizes_edges():
     # duplicates in either orientation collapse to one edge
-    g = from_edge_list(4, [(0, 1), (1, 0), (0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (1, 0), (0, 1), (2, 3)])
     assert g.m == 2
     eu, ev = g.edge_arrays()
     assert eu.tolist() == [0, 2] and ev.tolist() == [1, 3]
@@ -80,7 +79,8 @@ def test_constructor_normalizes_edges():
 
 def graph_arrays(g):
     eu, ev = g.edge_arrays()
-    return eu, ev, g._indptr, g._indices
+    A = g.adjacency()
+    return eu, ev, A.indptr, A.indices
 
 
 @settings(max_examples=200, deadline=None)
@@ -110,10 +110,9 @@ def test_constructor_matches_set_oracle(data):
     want = canonical_graph_arrays(n, pairs)
     assert g.n == n and g.m == len(want[0])
     for got, ref in zip(graph_arrays(g), want):
-        assert got.dtype == np.int64
         assert got.tolist() == ref
-    A = g.adjacency()
-    assert A.indptr.tolist() == want[2] and A.indices.tolist() == want[3]
+    # the edge arrays are int64; the CSR keeps scipy's index dtype
+    assert all(a.dtype == np.int64 for a in g.edge_arrays())
 
 
 def test_erdos_renyi_rebuilt_through_constructor():
@@ -153,7 +152,7 @@ def test_constructor_rejects_bad_input():
 
 
 def test_neighbor_structure():
-    g = from_edge_list(5, [(0, 1), (0, 3), (1, 3), (2, 3)])
+    g = Graph(5, [(0, 1), (0, 3), (1, 3), (2, 3)])
     assert g.neighbors(3).tolist() == [0, 1, 2]
     assert g.neighbors(4).tolist() == []
     assert g.degrees.tolist() == [2, 2, 1, 3, 0]
@@ -165,6 +164,15 @@ def test_neighbor_structure():
         g.neighbors(5)
 
 
+def test_neighbors_view_is_read_only():
+    g = gen_named("cycle", 6)
+    with pytest.raises(ValueError):
+        g.neighbors(0)[0] = 3
+    assert g.neighbors(0).tolist() == [1, 5]
+    assert edges_between(g, [0], [1, 5]) == 2
+    assert g.adjacency().indices.tolist() == [1, 5, 0, 2, 1, 3, 2, 4, 3, 5, 0, 4]
+
+
 def test_edges_between_matches_brute_force():
     rng = np.random.default_rng(42)
     graphs = [
@@ -172,12 +180,15 @@ def test_edges_between_matches_brute_force():
         gen_erdos_renyi(30, 0.8, 2),
         gen_named("star", 17),
         gen_named("two_cliques_bridged", 12),
+        gen_named("complete", 9),
+        Graph(10, []),
     ]
     for g in graphs:
         for _ in range(25):
             xs = rng.choice(g.n, size=rng.integers(1, g.n), replace=False)
             ys = rng.choice(g.n, size=rng.integers(1, g.n), replace=False)
             assert edges_between(g, xs, ys) == bf_edges_between(g, xs, ys)
+            assert edges_between(g, xs, xs) == bf_edges_between(g, xs, xs)
 
 
 def test_edges_between_identities():
@@ -296,11 +307,26 @@ def traced_peak(call):
     return out, peak
 
 
+def test_built_graph_keeps_one_neighbor_store():
+    gen_named("complete", 10)  # first-call imports and caches stay out of the count
+    tracemalloc.start()
+    try:
+        g = gen_named("complete", 800)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m == 319_600
+    # 40 bytes per edge: the int64 edge arrays (16) and the CSR's float64
+    # data (16) and int32 indices (8); a second, int64 copy of the neighbor
+    # indices would add 16
+    assert kept <= 41 * g.m
+
+
 def test_erdos_renyi_memory_stays_small():
     n = 10_000
     g, peak = traced_peak(lambda: gen_erdos_renyi(n, 3 * math.log(n) / n, 0))
     assert g.m == 137_931
-    # about 58 bytes per edge: 2 MiB of uniforms per block, then the graph
+    # about 41 bytes per edge: 2 MiB of uniforms per block, then the graph
     # build; one block of 2^21 uniforms alone would break the bound
     assert peak < 100 * g.m
 
@@ -310,7 +336,7 @@ def test_read_edge_list_memory_stays_small(tmp_path):
     write_edge_list(gen_named("complete", 800), path)
     g, peak = traced_peak(lambda: read_edge_list(path))
     assert g.m == 319_600
-    # about 80 bytes per edge: the parsed pairs, then the graph build; a
+    # about 64 bytes per edge: the parsed pairs, then the graph build; a
     # str and a StringIO copy of the file's text would break the bound
     assert peak < 100 * g.m
 
@@ -428,6 +454,12 @@ def test_edge_list_rejects_malformed(tmp_path):
     path.write_text("4 3\n0 1\n2 3\n0 1\n", encoding="utf-8")
     with pytest.raises(InputError, match="duplicate edge '0 1'"):
         read_edge_list(path)
+    # bytes that are not UTF-8, in the header's read and deep in the body
+    body = "".join(f"{i} {i + 1}\n" for i in range(2000)).encode()
+    for data in (b"3 1\n0 \xff1\n", b"3000 2001\n" + body + b"5 \xff7\n"):
+        path.write_bytes(data)
+        with pytest.raises(InputError, match="not UTF-8 text"):
+            read_edge_list(path)
 
 
 def test_degree_extrema():

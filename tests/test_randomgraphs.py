@@ -145,9 +145,24 @@ def test_brent_failures_are_typed():
         _brent(step, -1e300, 1e300, 5e-324)
     with pytest.raises(RuntimeError):
         brentq(step, -1e300, 1e300, xtol=5e-324)
-    # gamma this close to 1 puts 1/gamma above h on all of (-1 + 1e-15, 0)
-    with pytest.raises(BracketError):
+    # a target above h on all of the negative bracket (-1 + 1e-15, 0)
+    with pytest.raises(BracketError, match="same sign"):
+        randomgraphs._h_root(1.0 / (1.0 + 1e-15), -1.0 + 1e-15, -1e-300)
+
+
+def test_gamma_at_window_lower_end_is_a_domain_error():
+    # h(-1 + 1e-15) = 1 - 3.55e-14: a gamma closer than that to the window's
+    # lower end has its negative root left of the bracket
+    with pytest.raises(DomainError, match="gamma is too close to the window's lower end"):
         gamma_roots(1.0 + 1e-15)
+    with pytest.raises(DomainError, match="gamma is too close to the window's lower end"):
+        gamma_roots_eps(1.25000000000001, 0.25)
+    with pytest.raises(DomainError, match="too close"):
+        er_prediction(1000, 1.25000000000001, 0.25)
+    # just past the cut-off both roots are found, the negative one at the
+    # bracket's end
+    assert gamma_roots(1.0 + 4e-14)[0] == -1.0 + 1e-15
+    assert gamma_roots_eps(1.25 + 5e-14, 0.25)[0] > -1.0
 
 
 def test_gamma_roots_eps_sandwich():
