@@ -6,6 +6,13 @@ er-predict | sweep. Every run produces a machine-readable JSON report
 Reports are byte-identical across reruns with the same config except for
 the timestamp, which lives only in the provenance block. Exit status: 0
 pass/success, 1 fail verdict, 2 error.
+
+Each handler (_cmd_*, _sweep_*) is a function of the merged options alone.
+It returns (body, status, sidecars): the command's part of the report, the
+exit status, and an ordered {file name: write(path)} mapping of the files
+the command writes besides report.json. Only run() reads --out; it writes
+the sidecars there in order, then report.json. The merged options hold only
+options that are set, so a handler's default is cfg.get(key, default).
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from .graphs import (
 )
 from .randomgraphs import er_prediction, gamma_roots
 from .spectral import (
+    DEFAULT_TOL,
     ExpanderProfile,
     check_mixing_bounds,
     degree_bounds_from_profile,
@@ -181,7 +189,8 @@ def _merge_config(args, parser):
                     f"config key {key!r}: {value!r} is not a valid value for "
                     f"--{key.replace('_', '-')}"
                 )
-        cfg.update(loaded)
+        # null leaves an option unset
+        cfg.update({k: v for k, v in loaded.items() if v is not None})
     for key, value in vars(args).items():
         if key == "config":
             continue
@@ -191,9 +200,16 @@ def _merge_config(args, parser):
 
 
 def _require(cfg, key, why):
-    if cfg.get(key) is None:
+    if key not in cfg:
         raise InputError(f"--{key.replace('_', '-')} is required {why}")
     return cfg[key]
+
+
+def _count(cfg, key, default, least):
+    value = cfg.get(key, default)
+    if value < least:
+        raise InputError(f"--{key.replace('_', '-')} must be at least {least}, got {value}")
+    return value
 
 
 def _parse_gen_spec(spec, seed):
@@ -222,13 +238,12 @@ def _parse_gen_spec(spec, seed):
 
 
 def _load_graph(cfg):
-    path, spec = cfg.get("graph"), cfg.get("gen")
-    if (path is None) == (spec is None):
+    if ("graph" in cfg) == ("gen" in cfg):
         raise InputError("exactly one graph source is required (--graph or --gen)")
-    if path is not None:
-        return read_edge_list(path), {"source": "file", "path": str(path)}
-    g = _parse_gen_spec(spec, cfg.get("seed"))
-    return g, {"source": "generator", "spec": spec}
+    if "graph" in cfg:
+        return read_edge_list(cfg["graph"]), {"source": "file", "path": str(cfg["graph"])}
+    g = _parse_gen_spec(cfg["gen"], cfg.get("seed"))
+    return g, {"source": "generator", "spec": cfg["gen"]}
 
 
 def _graph_summary(g):
@@ -237,7 +252,7 @@ def _graph_summary(g):
 
 
 def _config_echo(cfg):
-    return {k: v for k, v in sorted(cfg.items()) if k not in ("command", "out") and v is not None}
+    return {k: v for k, v in sorted(cfg.items()) if k not in ("command", "out")}
 
 
 def _provenance(cfg):
@@ -249,28 +264,17 @@ def _provenance(cfg):
     }
 
 
-def _cmd_generate(cfg, outdir):
+def _cmd_generate(cfg):
     g, src = _load_graph(cfg)
-    files = []
-    if outdir is not None:
-        path = outdir / "graph.txt"
-        write_edge_list(g, path)
-        files.append(str(path))
-    report = {"graph": _graph_summary(g) | src}
-    return report, 0, files
+    return {"graph": _graph_summary(g) | src}, 0, {"graph.txt": lambda p: write_edge_list(g, p)}
 
 
 def _measure_profile(g, cfg):
-    tol = cfg.get("tol")
-    kwargs = {}
-    if tol is not None:
-        kwargs["tol"] = tol
-    if cfg.get("d_ref") is not None:
-        kwargs["d_ref"] = cfg["d_ref"]
-    return expander_profile(g, **kwargs)
+    return expander_profile(g, d_ref=cfg.get("d_ref"), tol=cfg.get("tol", DEFAULT_TOL))
 
 
-def _cmd_profile(cfg, outdir):
+def _cmd_profile(cfg):
+    trials = _count(cfg, "trials", 0, 0)
     g, src = _load_graph(cfg)
     prof = _measure_profile(g, cfg)
     lo, hi = degree_bounds_from_profile(prof)
@@ -280,27 +284,21 @@ def _cmd_profile(cfg, outdir):
         "degree_bounds_implied": {"lower": lo, "upper": hi},
     }
     status = 0
-    if cfg.get("trials"):
+    if trials:
         seed = _require(cfg, "seed", "when --trials is set")
-        mix = check_mixing_bounds(g, prof, trials=cfg["trials"], seed=seed)
+        mix = check_mixing_bounds(g, prof, trials=trials, seed=seed)
         report["mixing"] = mix.to_json_dict()
         status = 0 if mix.passed else 1
-    files = []
-    if outdir is not None:
-        path = outdir / "profile.json"
-        prof.save(path)
-        files.append(str(path))
-    return report, status, files
+    return report, status, {"profile.json": prof.save}
 
 
-def _cmd_certify(cfg, outdir):
-    sources = [s for s in (cfg.get("graph"), cfg.get("gen"), cfg.get("profile")) if s is not None]
-    if len(sources) != 1:
+def _cmd_certify(cfg):
+    if sum(key in cfg for key in ("graph", "gen", "profile")) != 1:
         raise InputError("exactly one of --graph, --gen, --profile is required")
-    if cfg.get("profile") is not None:
+    if "profile" in cfg:
         # a saved profile carries its own tol, and there is no graph to sample
         for key in ("tol", "seed"):
-            if cfg.get(key) is not None:
+            if key in cfg:
                 raise InputError(f"--{key} does not apply to certify --profile")
         prof = ExpanderProfile.load(cfg["profile"])
         report = {"profile": prof.to_json_dict(), "profile_source": str(cfg["profile"])}
@@ -308,7 +306,7 @@ def _cmd_certify(cfg, outdir):
         g, src = _load_graph(cfg)
         prof = _measure_profile(g, cfg)
         report = {"graph": _graph_summary(g) | src, "profile": prof.to_json_dict()}
-    mode = cfg.get("mode") or "paper-proof"
+    mode = cfg.get("mode", "paper-proof")
     schedule = Schedule.load(cfg["schedule"]) if cfg.get("schedule") else None
     if mode == "numeric" and schedule is None:
         raise InputError("--mode numeric needs --schedule")
@@ -317,12 +315,7 @@ def _cmd_certify(cfg, outdir):
     report["closed_form"] = closed.to_json_dict()
     report["amplification"] = trace.to_json_dict()
     report["verdict"] = trace.verdict
-    files = []
-    if outdir is not None:
-        path = outdir / "trace.csv"
-        trace.to_csv(path)
-        files.append(str(path))
-    return report, 0 if trace.verdict == "pass" else 1, files
+    return report, 0 if trace.verdict == "pass" else 1, {"trace.csv": trace.to_csv}
 
 
 def _simulate_one(g, seed, grad_tol, step_cap, classify):
@@ -343,17 +336,17 @@ def _simulate_one(g, seed, grad_tol, step_cap, classify):
     return row, res
 
 
-def _cmd_simulate(cfg, outdir):
+def _cmd_simulate(cfg):
     g, src = _load_graph(cfg)
     seed = _require(cfg, "seed", "for random initial states")
-    runs = cfg.get("runs") or 1
-    if runs < 1:
-        raise InputError(f"--runs must be positive, got {runs}")
-    grad_tol = cfg.get("tol") if cfg.get("tol") is not None else GRAD_TOL
-    step_cap = cfg.get("step_cap") if cfg.get("step_cap") is not None else STEP_CAP
-    classify = bool(cfg.get("classify"))
-    results = [_simulate_one(g, seed + i, grad_tol, step_cap, classify) for i in range(runs)]
-    rows = [row for row, _ in results]
+    runs = _count(cfg, "runs", 1, 1)
+    step_cap = _count(cfg, "step_cap", STEP_CAP, 0)
+    grad_tol = cfg.get("tol", GRAD_TOL)
+    classify = cfg.get("classify", False)
+    # flow.csv holds the first run's trajectory; later runs keep only their row
+    row, first = _simulate_one(g, seed, grad_tol, step_cap, classify)
+    rows = [row] + [_simulate_one(g, seed + i, grad_tol, step_cap, classify)[0]
+                    for i in range(1, runs)]
     sync_fraction = sum(r["synchronized"] for r in rows) / runs
     report = {
         "graph": _graph_summary(g) | src,
@@ -361,19 +354,14 @@ def _cmd_simulate(cfg, outdir):
         "sync_fraction": sync_fraction,
         "sync_criterion": f"rho1 > {SYNC_RHO!r}",
     }
-    files = []
-    if outdir is not None:
-        flow_path = outdir / "flow.csv"
-        results[0][1].to_csv(flow_path)
-        files.append(str(flow_path))
-        runs_path = outdir / "runs.csv"
-        cols = list(rows[0].keys())
-        write_csv(runs_path, cols, ([r[c] for c in cols] for r in rows))
-        files.append(str(runs_path))
-    return report, 0, files
+    cols = list(rows[0].keys())
+    return report, 0, {
+        "flow.csv": first.to_csv,
+        "runs.csv": lambda p: write_csv(p, cols, ([r[c] for c in cols] for r in rows)),
+    }
 
 
-def _cmd_threshold(cfg, outdir):
+def _cmd_threshold(cfg):
     paper_proof = cfg.get("mode") == "paper-proof"
     if cfg.get("schedule"):
         if paper_proof:
@@ -387,9 +375,7 @@ def _cmd_threshold(cfg, outdir):
     else:
         schedule = preset_regular_schedule()
         schedule_desc = "preset"
-    lo = cfg.get("lo") if cfg.get("lo") is not None else 0.001
-    hi = cfg.get("hi") if cfg.get("hi") is not None else 0.25
-    tol = cfg.get("tol") if cfg.get("tol") is not None else 1e-5
+    lo, hi, tol = cfg.get("lo", 0.001), cfg.get("hi", 0.25), cfg.get("tol", 1e-5)
     value = max_alpha_regular(schedule, lo, hi, tol=tol)
     report = {
         "max_alpha": value,
@@ -398,33 +384,23 @@ def _cmd_threshold(cfg, outdir):
         "mode": "paper-proof" if schedule is None else "numeric",
         "min_ramanujan_degree": min_ramanujan_degree(value),
     }
-    return report, 0, []
+    return report, 0, {}
 
 
-def _cmd_er_predict(cfg, outdir):
+def _cmd_er_predict(cfg):
     n = _require(cfg, "n", "for a prediction")
     gamma = _require(cfg, "gamma", "for a prediction")
     eps = _require(cfg, "eps", "for a prediction")
     pred = er_prediction(n, gamma, eps)
     report = {"prediction": pred.to_json_dict()}
     status = 0 if pred.alpha_pred <= 0.2 else 1
-    return report, status, []
+    return report, status, {}
 
 
-def _sweep_gamma_roots(cfg, outdir):
-    lo = cfg.get("lo") if cfg.get("lo") is not None else 1.001
-    hi = cfg.get("hi") if cfg.get("hi") is not None else 10.0
-    points = cfg.get("points") or 50
-    grid = np.geomspace(lo, hi, points)
-    rows = []
-    for gamma in grid:
-        cm, cp = gamma_roots(float(gamma))
-        rows.append((float(gamma), cm, cp))
-    files = []
-    if outdir is not None:
-        path = outdir / "sweep.csv"
-        write_csv(path, ["gamma", "c_minus", "c_plus"], rows)
-        files.append(str(path))
+def _sweep_gamma_roots(cfg):
+    lo, hi = cfg.get("lo", 1.001), cfg.get("hi", 10.0)
+    points = _count(cfg, "points", 50, 1)
+    rows = [(float(gamma), *gamma_roots(float(gamma))) for gamma in np.geomspace(lo, hi, points)]
     report = {
         "kind": "gamma-roots",
         "points": points,
@@ -432,13 +408,12 @@ def _sweep_gamma_roots(cfg, outdir):
         "first": rows[0],
         "last": rows[-1],
     }
-    return report, 0, files
+    return report, 0, {"sweep.csv": lambda p: write_csv(p, ["gamma", "c_minus", "c_plus"], rows)}
 
 
-def _sweep_alpha_condition(cfg, outdir):
-    lo = cfg.get("lo") if cfg.get("lo") is not None else 0.001
-    hi = cfg.get("hi") if cfg.get("hi") is not None else 0.2
-    points = cfg.get("points") or 50
+def _sweep_alpha_condition(cfg):
+    lo, hi = cfg.get("lo", 0.001), cfg.get("hi", 0.2)
+    points = _count(cfg, "points", 50, 1)
     grid = np.linspace(lo, hi, points)
     rows = []
     n_pass = 0
@@ -448,22 +423,18 @@ def _sweep_alpha_condition(cfg, outdir):
         res = theorem_condition(prof)
         n_pass += res.verdict == "pass"
         rows.append((a, res.condition1, res.condition2, res.verdict))
-    files = []
-    if outdir is not None:
-        path = outdir / "sweep.csv"
-        write_csv(path, ["alpha", "condition1", "condition2", "verdict"], rows)
-        files.append(str(path))
     report = {"kind": "alpha-condition", "points": points, "range": [lo, hi], "passes": n_pass}
-    return report, 0, files
+    header = ["alpha", "condition1", "condition2", "verdict"]
+    return report, 0, {"sweep.csv": lambda p: write_csv(p, header, rows)}
 
 
-def _sweep_er_sample(cfg, outdir):
+def _sweep_er_sample(cfg):
     n = _require(cfg, "n", "for er sampling")
     gamma = _require(cfg, "gamma", "for er sampling")
     eps = _require(cfg, "eps", "for er sampling")
     seed = _require(cfg, "seed", "for er sampling")
-    samples = cfg.get("samples") or 10
-    workers = cfg.get("workers") or 1
+    samples = _count(cfg, "samples", 10, 1)
+    workers = _count(cfg, "workers", 1, 1)
     pred = er_prediction(n, gamma, eps)
 
     def one(s):
@@ -478,20 +449,10 @@ def _sweep_er_sample(cfg, outdir):
             rows = list(pool.map(one, seeds))
     else:
         rows = [one(s) for s in seeds]
-    rows.sort(key=lambda r: r[0])
     inside = sum(
         1 for r in rows
         if pred.c_minus_eps - 1e-12 <= r[2] and r[3] <= pred.c_plus_eps + 1e-12
     )
-    files = []
-    if outdir is not None:
-        path = outdir / "sweep.csv"
-        write_csv(
-            path,
-            ["seed", "measured_alpha", "measured_c_minus", "measured_c_plus", "d_min", "d_max"],
-            rows,
-        )
-        files.append(str(path))
     report = {
         "kind": "er-sample",
         "samples": samples,
@@ -499,7 +460,8 @@ def _sweep_er_sample(cfg, outdir):
         "profiles_inside_certified_window": inside,
         "mean_measured_alpha": float(np.mean([r[1] for r in rows])),
     }
-    return report, 0, files
+    header = ["seed", "measured_alpha", "measured_c_minus", "measured_c_plus", "d_min", "d_max"]
+    return report, 0, {"sweep.csv": lambda p: write_csv(p, header, rows)}
 
 
 # each sweep kind, with the options it reads; it takes no other sweep option
@@ -510,15 +472,15 @@ _SWEEPS = {
 }
 
 
-def _cmd_sweep(cfg, outdir):
+def _cmd_sweep(cfg):
     kind = _require(cfg, "kind", "to choose a sweep")
     sweep, keys = _SWEEPS[kind]
     others = sorted({k for _, ks in _SWEEPS.values() for k in ks} - set(keys))
-    unread = [f"--{k}" for k in others if cfg.get(k) is not None]
+    unread = [f"--{k}" for k in others if k in cfg]
     if unread:
         raise InputError(f"sweep --kind {kind} does not take {', '.join(unread)} "
                          f"(its options: {', '.join('--' + k for k in keys)})")
-    return sweep(cfg, outdir)
+    return sweep(cfg)
 
 
 _DISPATCH = {
@@ -537,22 +499,23 @@ def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = _merge_config(args, parser)
-    outdir = None
-    if cfg.get("out"):
-        outdir = Path(cfg["out"])
+    outdir = Path(cfg["out"]) if cfg.get("out") else None
+    if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
-    body, status, files = _DISPATCH[cfg["command"]](cfg, outdir)
+    body, status, sidecars = _DISPATCH[cfg["command"]](cfg)
     report = {
         "command": cfg["command"],
         "config": _config_echo(cfg),
         "provenance": _provenance(cfg),
     }
     report.update(body)
+    files = ()
     if outdir is not None:
-        path = outdir / "report.json"
-        write_json(path, report)
-        files = [str(path)] + list(files)
-    return ReportBundle(report=report, exit_status=status, files=tuple(files))
+        for name, write in sidecars.items():
+            write(outdir / name)
+        write_json(outdir / "report.json", report)
+        files = tuple(str(outdir / name) for name in ("report.json", *sidecars))
+    return ReportBundle(report=report, exit_status=status, files=files)
 
 
 def main():

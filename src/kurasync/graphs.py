@@ -98,6 +98,9 @@ class Graph:
             key = key.astype(np.int32)
         data = np.ones(2 * m, dtype=np.float64)
         self._csr = csr_matrix((data, key, indptr), shape=(n, n))
+        # the CSR is shared by every caller, so nobody may write to it
+        for arr in (self._csr.data, self._csr.indices, self._csr.indptr):
+            arr.flags.writeable = False
 
     @property
     def degrees(self):
@@ -110,16 +113,14 @@ class Graph:
         """Sorted neighbor array of vertex x (a read-only view)."""
         if not (0 <= x < self.n):
             raise InputError(f"vertex {x} out of range")
-        view = self._csr.indices[self._csr.indptr[x]:self._csr.indptr[x + 1]]
-        view.flags.writeable = False
-        return view
+        return self._csr.indices[self._csr.indptr[x]:self._csr.indptr[x + 1]]
 
     def edge_arrays(self):
         """The m edges as parallel arrays (u, v) with u < v, lexsorted."""
         return self._eu, self._ev
 
     def adjacency(self):
-        """Adjacency matrix as scipy CSR."""
+        """Adjacency matrix as scipy CSR, with read-only arrays."""
         return self._csr
 
     def __repr__(self):

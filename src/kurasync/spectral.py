@@ -36,7 +36,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 
-# vertex counts at or below this use an exact dense eigensolve; ARPACC-style
+# vertex counts at or below this use an exact dense eigensolve; ARPACK-style
 # iteration is unreliable when ncv cannot exceed n
 _DENSE_CUTOFF = 8
 
@@ -221,8 +221,6 @@ def _extreme_eigenpair(mv, n, which, tol_abs, norm_bound=None):
             best = (lam, v, resid)
         if resid <= tol_abs:
             return lam, v, resid
-    if best is not None and best[2] <= tol_abs:
-        return best
     raise NumericalError(
         f"eigensolver residual did not reach {tol_abs:.3e}"
         + (f" (best {best[2]:.3e})" if best else " (no converged run)"),
@@ -504,30 +502,24 @@ def check_mixing_bounds(g, profile, trials, seed):
             )
         )
 
-    def complement(xs):
-        # the sorted complement, as np.setdiff1d gives it, from a mask
-        outside = np.ones(n, dtype=bool)
-        outside[xs] = False
-        return np.flatnonzero(outside)
-
     def check_single(xs):
+        # cuts are counted from degrees: e(X, V-X) = sum of deg x over X - e(X, X)
         k = len(xs)
         exx = edges_between(g, xs, xs)
+        inc = int(degs[xs].sum())
         mean = (d / n) * k * k
         record("internal_pairs", xs, k, mean - alpha * d * k, exx, mean + alpha * d * k)
-        comp = complement(xs)
-        if len(comp):
-            cut = edges_between(g, xs, comp)
-            base = (d / n) * k * len(comp)
-            record("cut_to_complement", xs, len(comp),
-                   (1.0 + cm) * base, cut, (1.0 + cp) * base)
+        if k < n:
+            base = (d / n) * k * (n - k)
+            record("cut_to_complement", xs, n - k,
+                   (1.0 + cm) * base, inc - exx, (1.0 + cp) * base)
         dens = k / n
-        inc = int(degs[xs].sum())
         record("incident_edge_mass", xs, n,
                (1.0 + cm * (1.0 - dens) - alpha) * d * k, inc,
                (1.0 + cp * (1.0 - dens) + alpha) * d * k)
+        return exx, inc
 
-    def check_pair(xs):
+    def check_pair(xs, exx, inc):
         if 1.0 + cm <= 0 or cp - cm <= 0:
             skipped.update({"nested_cut", "small_set_outflow"})
             return
@@ -536,21 +528,22 @@ def check_mixing_bounds(g, profile, trials, seed):
             return
         eps = float(rng.uniform(0.05, 0.95)) * (1.0 + cm)
         delta = eps / (cp - cm)
-        outside = complement(xs)
-        extra = min(int(delta * k), n // 2 - k, len(outside))
-        ys = np.concatenate([xs, rng.choice(outside, size=extra, replace=False)]) \
-            if extra > 0 else np.asarray(xs)
-        yc = complement(ys)
-        if len(yc) == 0:
-            skipped.update({"nested_cut", "small_set_outflow"})
-            return
-        cut = edges_between(g, xs, yc)
-        base = (d / n) * k * len(yc)
+        # |Y| <= n/2, so V-Y is never empty
+        extra = min(int(delta * k), n // 2 - k)
+        ys = xs
+        if extra > 0:
+            # the sorted complement of X, as np.setdiff1d gives it
+            outside = np.ones(n, dtype=bool)
+            outside[xs] = False
+            extras = rng.choice(np.flatnonzero(outside), size=extra, replace=False)
+            ys = np.concatenate([xs, extras])
+        # e(X, V-Y) = sum of deg x over X - e(X, Y)
+        cut = inc - edges_between(g, xs, ys)
+        base = (d / n) * k * (n - len(ys))
         record("nested_cut", xs, len(ys),
                (1.0 + cm - eps) * base, cut, (1.0 + cp + eps) * base)
         if alpha > 0:
             rho = k / (alpha * n)
-            exx = edges_between(g, xs, xs)
             record("small_set_outflow", xs, len(ys),
                    (1.0 + cm - eps) / (2.0 * (1.0 + rho) * alpha) * exx, cut, None)
         else:
@@ -563,8 +556,7 @@ def check_mixing_bounds(g, profile, trials, seed):
     for _ in range(trials):
         size = int(rng.integers(1, max(2, n // 2 + 1)))
         xs = np.sort(rng.choice(n, size=size, replace=False))
-        check_single(xs)
-        check_pair(xs)
+        check_pair(xs, *check_single(xs))
 
     passed = all(e.slack >= -allowance for e in entries)
     return MixingReport(

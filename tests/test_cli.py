@@ -353,6 +353,75 @@ def test_sweep_er_sample(tmp_path):
     assert (pooled / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
 
 
+# each count option with a value just below its lower limit (or at it, which
+# runs): runs, points, samples and workers >= 1; step_cap and trials >= 0
+SIM = ["simulate", "--gen", "cycle:10", "--seed", "0"]
+ER_SAMPLE = ["sweep", "--kind", "er-sample", "--n", "200", "--gamma", "3", "--eps", "0.25",
+             "--seed", "1"]
+COUNT_CASES = [
+    (SIM, "runs", 0, 2),
+    (SIM, "runs", -1, 2),
+    (SIM, "step_cap", -1, 2),
+    (SIM, "step_cap", 0, 0),
+    (["sweep", "--kind", "gamma-roots"], "points", 0, 2),
+    (["sweep", "--kind", "gamma-roots"], "points", -3, 2),
+    (["sweep", "--kind", "alpha-condition"], "points", 0, 2),
+    (ER_SAMPLE, "samples", 0, 2),
+    (ER_SAMPLE, "samples", -1, 2),
+    ([*ER_SAMPLE, "--samples", "1"], "workers", 0, 2),
+    ([*ER_SAMPLE, "--samples", "1"], "workers", -2, 2),
+    (["profile", "--gen", "cycle:10", "--seed", "0"], "trials", -1, 2),
+    (["profile", "--gen", "cycle:10", "--seed", "0"], "trials", 0, 0),
+]
+
+
+@pytest.mark.parametrize("argv, key, value, status", COUNT_CASES, ids=[
+    f"{argv[2] if argv[0] == 'sweep' else argv[0]}-{key}={value}"
+    for argv, key, value, _ in COUNT_CASES])
+def test_count_options_reject_values_below_their_limit(tmp_path, argv, key, value, status):
+    flag = f"--{key.replace('_', '-')}"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    for args in ([flag, str(value)], ["--config", str(cfg)]):
+        proc = run_cli(*argv, *args)
+        assert proc.returncode == status, (args, proc.stderr)
+        if status == 2:
+            least = 0 if key in ("step_cap", "trials") else 1
+            assert proc.stderr == f"error: {flag} must be at least {least}, got {value}\n"
+        else:
+            assert report_from(proc)["config"][key] == value
+
+
+def test_out_lists_exactly_the_files_it_writes(tmp_path):
+    # stderr names every file written under --out, report.json first; without
+    # --out the report goes to stdout and nothing is written
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    commands = {
+        "generate": ["generate", "--gen", "cycle:6"],
+        "profile": ["profile", "--gen", "cycle:8"],
+        "certify": ["certify", "--gen", "complete:10"],
+        "simulate": [*SIM, "--runs", "2", "--step-cap", "50"],
+        "threshold": ["threshold", "--mode", "paper-proof", "--lo", "0.001", "--hi", "0.01"],
+        "er-predict": ["er-predict", *PREDICT_ARGS],
+        "gamma-roots": ["sweep", "--kind", "gamma-roots", "--points", "3"],
+        "alpha-condition": ["sweep", "--kind", "alpha-condition", "--points", "3"],
+        "er-sample": [*ER_SAMPLE, "--samples", "1"],
+    }
+    for name, argv in commands.items():
+        out = tmp_path / name
+        proc = run_cli(*argv, "--out", str(out), cwd=cwd)
+        assert proc.returncode in (0, 1), (name, proc.stderr)
+        assert proc.stdout == ""
+        listed = proc.stderr.splitlines()
+        assert listed[0] == str(out / "report.json"), name
+        assert sorted(listed) == sorted(str(p) for p in out.iterdir()), name
+        proc = run_cli(*argv, cwd=cwd)
+        assert proc.returncode in (0, 1) and proc.stderr == "", (name, proc.stderr)
+        assert report_from(proc)["command"] == argv[0]
+    assert list(cwd.iterdir()) == []
+
+
 def test_csv_sidecars_match_frozen_writers(tmp_path):
     # each sidecar is byte for byte what the writers wrote before they were
     # merged into one; flow.csv rows are np.float64 values

@@ -173,6 +173,18 @@ def test_neighbors_view_is_read_only():
     assert g.adjacency().indices.tolist() == [1, 5, 0, 2, 1, 3, 2, 4, 3, 5, 0, 4]
 
 
+def test_adjacency_arrays_are_read_only():
+    # every flow, eigensolve and edge count of the graph reads this CSR
+    g = gen_named("cycle", 6)
+    A = g.adjacency()
+    for arr, value in ((A.indices, 3), (A.data, 2.0), (A.indptr, 0)):
+        with pytest.raises(ValueError):
+            arr[0] = value
+    assert g.adjacency().indices.tolist() == [1, 5, 0, 2, 1, 3, 2, 4, 3, 5, 0, 4]
+    assert g.adjacency().data.tolist() == [1.0] * 12
+    assert edges_between(g, [0], [1, 5]) == 2
+
+
 def test_edges_between_matches_brute_force():
     rng = np.random.default_rng(42)
     graphs = [
