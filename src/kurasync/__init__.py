@@ -40,12 +40,14 @@ from .spectral import (
 )
 from .dynamics import (
     EquilibriumReport,
+    FlowBatch,
     FlowResult,
     arc_set,
     classify_equilibrium,
     daido,
     energy,
     flow,
+    flow_batch,
     gradient,
     half_circle_check,
     hessian,

@@ -10,8 +10,10 @@ pass/success, 1 fail verdict, 2 error.
 Each handler (_cmd_*, _sweep_*) is a function of the merged options alone.
 It returns (body, status, sidecars): the command's part of the report, the
 exit status, and an ordered {file name: write(path)} mapping of the files
-the command writes besides report.json. Only run() reads --out; it writes
-the sidecars there in order, then report.json. The merged options hold only
+the command writes besides report.json. Only run() reads --out; once the
+handler has returned (so a run that fails on its input leaves no
+directory behind), it creates the directory and writes the sidecars there
+in order, then report.json. The merged options hold only
 options that are set, so a handler's default is cfg.get(key, default).
 """
 
@@ -36,7 +38,7 @@ from .certify import (
     preset_regular_schedule,
     theorem_condition,
 )
-from .dynamics import GRAD_TOL, STEP_CAP, classify_equilibrium, flow, random_phases
+from .dynamics import GRAD_TOL, STEP_CAP, classify_equilibrium, flow, flow_batch, random_phases
 from .errors import InputError, KurasyncError
 from .graphs import (
     degree_extrema,
@@ -318,24 +320,6 @@ def _cmd_certify(cfg):
     return report, 0 if trace.verdict == "pass" else 1, {"trace.csv": trace.to_csv}
 
 
-def _simulate_one(g, seed, grad_tol, step_cap, classify):
-    theta0 = random_phases(g.n, seed)
-    res = flow(g, theta0, grad_tol=grad_tol, step_cap=step_cap)
-    rho1 = float(res.rho1s[-1])
-    row = {
-        "seed": seed,
-        "steps": res.steps,
-        "terminated": res.terminated,
-        "energy_final": float(res.energies[-1]),
-        "grad_norm_final": float(res.grad_norms[-1]),
-        "rho1_final": rho1,
-        "synchronized": bool(rho1 > SYNC_RHO),
-    }
-    if classify:
-        row["classification"] = classify_equilibrium(g, res.final, grad_tol=grad_tol).classification
-    return row, res
-
-
 def _cmd_simulate(cfg):
     g, src = _load_graph(cfg)
     seed = _require(cfg, "seed", "for random initial states")
@@ -343,10 +327,30 @@ def _cmd_simulate(cfg):
     step_cap = _count(cfg, "step_cap", STEP_CAP, 0)
     grad_tol = cfg.get("tol", GRAD_TOL)
     classify = cfg.get("classify", False)
-    # flow.csv holds the first run's trajectory; later runs keep only their row
-    row, first = _simulate_one(g, seed, grad_tol, step_cap, classify)
-    rows = [row] + [_simulate_one(g, seed + i, grad_tol, step_cap, classify)[0]
-                    for i in range(1, runs)]
+    # run 0's trajectory is flow.csv; the later runs are one block whose
+    # rows keep only their final fields
+    first = flow(g, random_phases(g.n, seed), grad_tol=grad_tol, step_cap=step_cap)
+    starts = np.empty((runs - 1, g.n))
+    for i, row in enumerate(starts, 1):
+        row[:] = random_phases(g.n, seed + i)
+    rest = flow_batch(g, starts, grad_tol=grad_tol, step_cap=step_cap)
+    finals = [(first.final, first.steps, first.terminated, first.energies[-1],
+               first.grad_norms[-1], first.rho1s[-1]),
+              *zip(rest.final, rest.steps, rest.terminated, rest.energy, rest.grad_norm, rest.rho1)]
+    rows = []
+    for i, (final, steps, terminated, ene, gn, rho1) in enumerate(finals):
+        row = {
+            "seed": seed + i,
+            "steps": int(steps),
+            "terminated": str(terminated),
+            "energy_final": float(ene),
+            "grad_norm_final": float(gn),
+            "rho1_final": float(rho1),
+            "synchronized": bool(rho1 > SYNC_RHO),
+        }
+        if classify:
+            row["classification"] = classify_equilibrium(g, final, grad_tol=grad_tol).classification
+        rows.append(row)
     sync_fraction = sum(r["synchronized"] for r in rows) / runs
     report = {
         "graph": _graph_summary(g) | src,
@@ -499,9 +503,6 @@ def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = _merge_config(args, parser)
-    outdir = Path(cfg["out"]) if cfg.get("out") else None
-    if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
     body, status, sidecars = _DISPATCH[cfg["command"]](cfg)
     report = {
         "command": cfg["command"],
@@ -510,7 +511,9 @@ def run(argv=None):
     }
     report.update(body)
     files = ()
-    if outdir is not None:
+    if cfg.get("out"):
+        outdir = Path(cfg["out"])
+        outdir.mkdir(parents=True, exist_ok=True)
         for name, write in sidecars.items():
             write(outdir / name)
         write_json(outdir / "report.json", report)

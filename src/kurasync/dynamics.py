@@ -30,8 +30,10 @@ __all__ = [
     "arc_set",
     "half_circle_check",
     "flow",
+    "flow_batch",
     "classify_equilibrium",
     "FlowResult",
+    "FlowBatch",
     "EquilibriumReport",
 ]
 
@@ -45,6 +47,17 @@ STEP_CAP = 10 ** 6
 # low spectrum is the slow case for Lanczos, takes 18 ms sparse at n=300 and
 # 0.16 s at n=1000, against 17 ms and 0.24 s for a dense QR restriction
 _SPARSE_MIN_N = 300
+
+# numpy evaluates z * np.conj(w) in place in the temporary, operands
+# swapped, once that temporary holds 256 KiB (16384 complex values), and a
+# complex product is not bitwise commutative. One state's gradient swaps
+# from this n on; a block must swap per row length, never per block size
+_ELIDE_N = (256 * 1024) // 16
+
+# element budget of one flow_batch block: a row holds O(n + m) floats (its
+# state, gradient and per-edge energy terms), so a block of
+# _FLOW_BLOCK // (n + m) rows holds a few MiB whatever the run count
+_FLOW_BLOCK = 1 << 16
 
 
 def wrap_phases(theta):
@@ -69,32 +82,56 @@ def _check_state(g, theta):
     return theta
 
 
+def _check_block(g, thetas):
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if thetas.ndim != 2 or thetas.shape[1] != g.n:
+        raise InputError(f"state block has shape {thetas.shape}, graph has n={g.n}")
+    return thetas
+
+
 def energy(g, theta):
-    theta = _check_state(g, theta)
+    """E of one state, or an array of one E per row of an (R, n) block.
+
+    Each row's edge terms are gathered C-contiguously, so its sum is bit
+    for bit the sum of that state alone; the terms of a Fortran-ordered
+    gather (``theta[:, eu]``) are summed in another order.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    block = _check_block(g, theta) if theta.ndim == 2 else _check_state(g, theta)[None]
     eu, ev = g.edge_arrays()
-    if len(eu) == 0:
-        return 0.0
-    half = theta[eu]
-    half -= theta[ev]
+    half = block.take(eu, axis=1)
+    half -= block.take(ev, axis=1)
     half *= 0.5
     np.sin(half, out=half)
     np.square(half, out=half)
-    return float(2.0 * half.sum())
+    energies = 2.0 * half.sum(axis=1)
+    return energies if theta.ndim == 2 else float(energies[0])
 
 
-def _gradient_rho1(A, theta):
-    """(gradient, |rho_1|) of a checked state from one exp(i*theta).
+def _gradients(A, theta):
+    """(gradients, |rho_1| per row) of an (R, n) block from one exp(i*theta).
 
-    rho_1 is the sum over n, which is bit for bit what daido's mean gives.
+    Every row is bit for bit what the one-state expressions
+    imag(z * conj(A @ z)) and abs(complex(z.sum() / n)) give. So the complex
+    product runs on C-contiguous rows, in the operand order that expression
+    multiplies in (see _ELIDE_N), and |rho_1| is hypot of the mean's parts,
+    as abs(complex) computes it (np.abs of a complex array can differ in
+    the last ulp). The mean is the sum over n, bitwise what daido gives.
     """
     z = np.exp(1j * theta)
-    grad = np.imag(z * np.conj(A @ z))
-    return grad, abs(complex(z.sum() / len(z)))
+    az = np.ascontiguousarray((A @ z.T).T)
+    np.conj(az, out=az)
+    if theta.shape[1] >= _ELIDE_N:
+        prod = np.multiply(az, z, out=az)
+    else:
+        prod = np.multiply(z, az)
+    rho = z.sum(axis=1) / theta.shape[1]
+    return np.imag(prod), np.hypot(rho.real, rho.imag)
 
 
 def gradient(g, theta):
     """Component x: sum_z A[x,z] sin(theta_x - theta_z)."""
-    return _gradient_rho1(g.adjacency(), _check_state(g, theta))[0]
+    return _gradients(g.adjacency(), _check_state(g, theta)[None])[0][0]
 
 
 def _hessian_parts(g, theta):
@@ -223,6 +260,120 @@ class FlowResult:
                   zip(self.times, self.energies, self.grad_norms, self.rho1s))
 
 
+@dataclass
+class FlowBatch:
+    """The final fields of each run of flow_batch; row i started at thetas[i]."""
+    final: np.ndarray  # (R, n)
+    steps: np.ndarray  # int64
+    terminated: np.ndarray  # str: converged | step_cap | stalled
+    energy: np.ndarray
+    grad_norm: np.ndarray
+    rho1: np.ndarray
+
+
+_EXITS = np.array(["converged", "step_cap", "stalled"])
+
+
+def _integrate(g, theta, grad_tol, step_cap, dt_init, out, first, path=None):
+    """Flow each row of the (R, n) block theta; write its finals to row
+    first + i of out.
+
+    The rows share every array operation but nothing else: each keeps its
+    own dt, accept/reject decision, t, steps and exit, and leaves the
+    block when it exits. path, when given, collects (t, energy, grad_norm,
+    rho1) of row 0's start and of each state it accepts; flow passes it
+    with a block of one row.
+    """
+    theta = wrap_phases(theta)
+    A = g.adjacency()
+    grad, rho1 = _gradients(A, theta)
+    gn = np.abs(grad).max(axis=1)
+    ene = energy(g, theta)
+    rows = np.arange(first, first + len(theta))
+    t = np.zeros(len(theta))
+    steps = np.zeros(len(theta), dtype=np.int64)
+    # an edgeless graph has zero gradient, so no row takes a step
+    dt_cap = 1.0 / (2.0 * max(int(g.degrees.max()), 1))
+    dt = np.full(len(theta), min(dt_init if dt_init is not None else 0.5 * dt_cap, dt_cap))
+    stalled = np.zeros(len(theta), dtype=bool)
+    if path is not None:
+        path.append((t[0], ene[0], gn[0], rho1[0]))
+    while len(rows):
+        live = (gn >= grad_tol) & (steps < step_cap) & ~stalled
+        if not live.all():
+            # a row tests its exits in this order before each trial; a NaN
+            # gradient norm ends it as converged
+            why = np.where(~(gn >= grad_tol), 0, np.where(stalled, 2, 1))
+            gone = ~live
+            at = rows[gone]
+            out.final[at] = theta[gone]
+            out.steps[at] = steps[gone]
+            out.terminated[at] = _EXITS[why[gone]]
+            out.energy[at] = ene[gone]
+            out.grad_norm[at] = gn[gone]
+            out.rho1[at] = rho1[gone]
+            rows, theta, grad, rho1, gn, ene, t, steps, dt = (
+                x[live] for x in (rows, theta, grad, rho1, gn, ene, t, steps, dt))
+            if not len(rows):
+                break
+        trial = wrap_phases(theta - dt[:, None] * grad)
+        ene_trial = energy(g, trial)
+        ok = ene_trial <= ene
+        # dt * grad underflowed every phase ulp: float64 cannot resolve
+        # further descent (happens near minima with E > 0)
+        stalled = ok & (trial == theta).all(axis=1)
+        if not ok.all():
+            dt[~ok] *= 0.5
+            stalled |= ~ok & (dt < 1e-18)
+        accept = ok & ~stalled
+        if accept.any():
+            np.copyto(theta, trial, where=accept[:, None])
+            np.copyto(ene, ene_trial, where=accept)
+            np.add(t, dt, out=t, where=accept)
+            steps += accept
+            np.minimum(dt * 1.2, dt_cap, out=dt, where=accept)
+            at = slice(None) if accept.all() else np.flatnonzero(accept)
+            grad[at], rho1[at] = _gradients(A, theta[at])
+            gn[at] = np.abs(grad[at]).max(axis=1)
+            if path is not None and accept[0]:
+                path.append((t[0], ene[0], gn[0], rho1[0]))
+
+
+def _flow_rows(g, thetas, grad_tol, step_cap, dt_init, path=None):
+    """flow_batch's finals of a checked (R, n) block, one memory-bounded
+    block of rows after another; path goes to _integrate."""
+    if not grad_tol > 0:
+        raise InputError(f"grad_tol must be positive, got {grad_tol}")
+    r = len(thetas)
+    out = FlowBatch(np.empty_like(thetas), np.zeros(r, dtype=np.int64),
+                    np.empty(r, dtype=_EXITS.dtype), np.empty(r), np.empty(r), np.empty(r))
+    size = max(1, _FLOW_BLOCK // (g.n + g.m))
+    for first in range(0, r, size):
+        _integrate(g, thetas[first:first + size], grad_tol, step_cap, dt_init, out, first, path)
+    return out
+
+
+def flow_batch(g, thetas, grad_tol=GRAD_TOL, step_cap=STEP_CAP, dt_init=None):
+    """flow from each row of the (R, n) block thetas, all rows at once.
+
+    Row i of the result holds bitwise the final fields of flow(g,
+    thetas[i]): its final state, steps, exit, energy, gradient norm and
+    rho_1. No trajectory is kept (flow keeps its one row's). The rows are
+    integrated as one array: each trial is one energy call for the block,
+    and each step one exp(i*theta), one sparse product A @ Z and one
+    reduction per field for the rows that accepted it. The bits survive
+    because each reduction runs over one C-contiguous row: the energy's
+    edge terms are gathered with take (a Fortran-ordered theta[:, eu] sums
+    in another order), rho_1 is hypot of the row mean's parts (np.abs of
+    a complex array can miss abs(complex) by an ulp), and the gradient's
+    complex product keeps the one-state operand order (see _ELIDE_N).
+    At most _FLOW_BLOCK // (n + m) rows (at least one) are integrated
+    together, so a run count never multiplies the O(m) memory of one
+    flow's energy terms. The caller's thetas are never modified.
+    """
+    return _flow_rows(g, _check_block(g, thetas), grad_tol, step_cap, dt_init)
+
+
 def flow(g, theta0, grad_tol=GRAD_TOL, step_cap=STEP_CAP, dt_init=None):
     """Integrate d(theta)/dt = -grad E with adaptive explicit Euler.
 
@@ -235,58 +386,20 @@ def flow(g, theta0, grad_tol=GRAD_TOL, step_cap=STEP_CAP, dt_init=None):
     is the generic exit near minima with positive energy, where the
     descent per step falls below the energy ulp before grad_tol is met).
 
-    Each trial state costs one energy call; each accepted state adds one
-    exp(i*theta) and one sparse matvec, which give both its gradient and
-    its rho_1. The caller's theta0 is never modified. Every field of the
-    result is bit-identical to the earlier flow kept in the tests as
-    flow_reference, which evaluated exp(i*theta) twice per accepted state.
+    This is flow_batch's integrator on a block of one row, the only row
+    whose trajectory it records. Each trial state costs one energy call;
+    each accepted state adds one exp(i*theta) and one sparse product,
+    which give both its gradient and its rho_1. The caller's theta0 is
+    never modified. Every field of the result is bit-identical to the
+    earlier flow kept in the tests as flow_reference, which evaluated
+    exp(i*theta) twice per accepted state and ran one state at a time.
     """
-    if not grad_tol > 0:
-        raise InputError(f"grad_tol must be positive, got {grad_tol}")
-    theta = wrap_phases(_check_state(g, theta0))
-    A = g.adjacency()
-    grad, rho1 = _gradient_rho1(A, theta)
-    gn = float(np.abs(grad).max())
-    ene = energy(g, theta)
-    t = 0.0
-    times, energies, grad_norms, rho1s = [t], [ene], [gn], [rho1]
-    steps = 0
-    terminated = "converged"
-    # an edgeless graph has zero gradient, so the loop below never runs
-    dt_cap = 1.0 / (2.0 * max(int(g.degrees.max()), 1))
-    dt = min(dt_init if dt_init is not None else 0.5 * dt_cap, dt_cap)
-    while gn >= grad_tol:
-        if steps >= step_cap:
-            terminated = "step_cap"
-            break
-        trial = wrap_phases(theta - dt * grad)
-        ene_trial = energy(g, trial)
-        if ene_trial <= ene:
-            if (trial == theta).all():
-                # dt * grad underflowed every phase ulp: float64 cannot
-                # resolve further descent (happens near minima with E > 0)
-                terminated = "stalled"
-                break
-            theta = trial
-            ene = ene_trial
-            t += dt
-            steps += 1
-            grad, rho1 = _gradient_rho1(A, theta)
-            gn = float(np.abs(grad).max())
-            times.append(t)
-            energies.append(ene)
-            grad_norms.append(gn)
-            rho1s.append(rho1)
-            dt = min(dt * 1.2, dt_cap)
-        else:
-            dt *= 0.5
-            if dt < 1e-18:
-                terminated = "stalled"
-                break
+    path = []
+    out = _flow_rows(g, _check_state(g, theta0)[None], grad_tol, step_cap, dt_init, path)
+    times, energies, grad_norms, rho1s = (np.asarray(col) for col in zip(*path))
     return FlowResult(
-        final=theta, steps=steps, terminated=terminated,
-        times=np.asarray(times), energies=np.asarray(energies),
-        grad_norms=np.asarray(grad_norms), rho1s=np.asarray(rho1s),
+        final=out.final[0], steps=int(out.steps[0]), terminated=str(out.terminated[0]),
+        times=times, energies=energies, grad_norms=grad_norms, rho1s=rho1s,
     )
 
 

@@ -16,6 +16,7 @@ import pytest
 import kurasync
 from _oracles import (
     flow_csv_reference,
+    flow_reference,
     runs_csv_reference,
     sweep_csv_reference,
     trace_csv_reference,
@@ -23,6 +24,7 @@ from _oracles import (
 from kurasync import (
     Schedule,
     amplification_run,
+    classify_equilibrium,
     degree_extrema,
     er_prediction,
     expander_profile,
@@ -228,6 +230,48 @@ def test_simulate_requires_seed():
     proc = run_cli("simulate", "--gen", "cycle:10", "--runs", "2")
     assert proc.returncode == 2
     assert "--seed" in proc.stderr
+
+
+def test_simulate_leaves_no_out_dir_on_input_error(tmp_path):
+    out = tmp_path / "emptyout"
+    proc = run_cli("simulate", "--gen", "cycle:10", "--runs", "2", "--out", str(out))
+    assert proc.returncode == 2 and "--seed" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, seed, cap", [("cycle:10", 0, 500), ("er:50,0.1", 4, 3000)])
+def test_simulate_runs_are_reference_flows(tmp_path, spec, seed, cap):
+    # run 0 goes through flow and the other four through one flow_batch
+    # block; every sidecar and the report match rows built from the frozen
+    # one-state flow
+    out = tmp_path / "run"
+    proc = run_cli("simulate", "--gen", spec, "--seed", str(seed), "--runs", "5",
+                   "--step-cap", str(cap), "--classify", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    family, args = spec.split(":")
+    g = (gen_erdos_renyi(int(args.split(",")[0]), float(args.split(",")[1]), seed)
+         if family == "er" else gen_named(family, int(args)))
+    refs = [flow_reference(g, random_phases(g.n, seed + i), step_cap=cap) for i in range(5)]
+    rows = [{
+        "seed": seed + i,
+        "steps": ref.steps,
+        "terminated": ref.terminated,
+        "energy_final": float(ref.energies[-1]),
+        "grad_norm_final": float(ref.grad_norms[-1]),
+        "rho1_final": float(ref.rho1s[-1]),
+        "synchronized": bool(ref.rho1s[-1] > 1.0 - 1e-6),
+        "classification": classify_equilibrium(g, ref.final).classification,
+    } for i, ref in enumerate(refs)]
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    flow_csv_reference(expected / "flow.csv", refs[0])
+    runs_csv_reference(expected / "runs.csv", rows)
+    report = report_from_dir(out)
+    report.update(runs=rows, sync_fraction=sum(r["synchronized"] for r in rows) / 5)
+    (expected / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
+                                          encoding="utf-8")
+    for name in ("flow.csv", "runs.csv", "report.json"):
+        assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
 
 def test_threshold_defaults():

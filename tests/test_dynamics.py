@@ -27,6 +27,7 @@ from kurasync import (
     daido,
     energy,
     flow,
+    flow_batch,
     gen_erdos_renyi,
     gen_named,
     gen_random_regular,
@@ -41,7 +42,7 @@ from kurasync import (
     wrap_phases,
 )
 from kurasync import cli, dynamics, spectral
-from kurasync.dynamics import _SPARSE_MIN_N
+from kurasync.dynamics import _ELIDE_N, _FLOW_BLOCK, _SPARSE_MIN_N, _gradients
 
 from _oracles import (
     bf_energy,
@@ -49,6 +50,9 @@ from _oracles import (
     dense_min_eig_orthogonal,
     fd_gradient,
     fd_jacobian,
+    _ref_daido,
+    _ref_energy,
+    _ref_gradient,
     flow_reference,
 )
 
@@ -262,19 +266,16 @@ def test_flow_csv_round_trip(tmp_path):
 
 FLOW_FIELDS = ("steps", "terminated", "final", "times", "energies", "grad_norms", "rho1s")
 FLOW_GRAPHS = ("cycle", "path", "star", "complete", "two_cliques_bridged", "er", "regular",
-               "edgeless")
+               "edgeless", "disconnected")
 
 
 @st.composite
-def flow_cases(draw):
-    """(graph, theta0, flow keyword arguments) over every graph kind and exit."""
+def flow_graphs(draw):
+    """(graph, kind, seed) over every graph kind the flow is checked on."""
     kind = draw(st.sampled_from(FLOW_GRAPHS), label="kind")
     seed = draw(st.integers(0, 2 ** 16), label="seed")
-    rng = np.random.default_rng(seed)
     if kind == "cycle":
         g = gen_named("cycle", draw(st.integers(3, 16), label="n"))
-        # near a twisted state, which stalls at positive energy
-        q = draw(st.integers(0, g.n // 4), label="twist")
     elif kind == "two_cliques_bridged":
         g = gen_named(kind, 2 * draw(st.integers(2, 8), label="half"))
     elif kind == "er":
@@ -286,23 +287,63 @@ def flow_cases(draw):
         g = gen_random_regular(n + (n * d) % 2, d, seed)
     elif kind == "edgeless":
         g = Graph(draw(st.integers(1, 12), label="n"), np.empty((0, 2), dtype=np.int64))
+    elif kind == "disconnected":
+        # a cycle, a clique and an isolated vertex
+        a, b = draw(st.integers(3, 8), label="cycle n"), draw(st.integers(2, 6), label="clique n")
+        cycle = np.column_stack(gen_named("cycle", a).edge_arrays())
+        clique = np.column_stack(np.triu_indices(b, 1)) + a
+        g = Graph(a + b + 1, np.concatenate((cycle, clique)))
     else:
         g = gen_named(kind, draw(st.integers(1, 16), label="n"))
-    # phases outside (-pi, pi], and values on the wrap's branch point
+    return g, kind, seed
+
+
+@st.composite
+def flow_starts(draw, g, kind, rng):
+    """One start: phases outside (-pi, pi], near a twisted state of a cycle
+    (which stalls at positive energy) or at an equilibrium, and values on
+    the wrap's branch point."""
     theta0 = rng.uniform(-7.0, 7.0, size=g.n)
-    if kind == "cycle" and q:
+    shape = draw(st.sampled_from(["uniform", "twisted", "equilibrium"]), label="start")
+    if shape == "twisted" and kind == "cycle":
+        q = draw(st.integers(0, g.n // 4), label="twist")
         theta0 = 2.0 * np.pi * q * np.arange(g.n) / g.n + rng.normal(0.0, 1e-3, size=g.n)
+    elif shape == "equilibrium":
+        theta0 = np.full(g.n, theta0[0])
     for i, v in draw(st.lists(st.tuples(st.integers(0, g.n - 1),
                                         st.sampled_from([np.pi, -np.pi, 3 * np.pi, -0.0])),
                               max_size=3), label="special phases"):
         theta0[i] = v
-    # the cap keeps the rare flow that creeps past a saddle from taking seconds
-    kwargs = draw(st.fixed_dictionaries(
-        {"step_cap": st.integers(0, 40) | st.just(3000)},
-        optional={"dt_init": st.floats(1e-6, 5.0),
-                  "grad_tol": st.sampled_from([1e-14, 1e-6, 1e-2])},
-    ), label="flow arguments")
-    return g, theta0, kwargs
+    return theta0
+
+
+# the cap keeps the rare flow that creeps past a saddle from taking seconds
+FLOW_KWARGS = st.fixed_dictionaries(
+    {"step_cap": st.integers(0, 40) | st.just(3000)},
+    optional={"dt_init": st.floats(1e-6, 5.0),
+              "grad_tol": st.sampled_from([1e-14, 1e-6, 1e-2])},
+)
+
+
+@st.composite
+def flow_cases(draw):
+    """(graph, theta0, flow keyword arguments) over every graph kind and exit."""
+    g, kind, seed = draw(flow_graphs())
+    theta0 = draw(flow_starts(g, kind, np.random.default_rng(seed)))
+    return g, theta0, draw(FLOW_KWARGS, label="flow arguments")
+
+
+@st.composite
+def flow_batch_cases(draw):
+    """(graph, (R, n) starts, flow keyword arguments, block budget)."""
+    g, kind, seed = draw(flow_graphs())
+    rng = np.random.default_rng(seed)
+    rows = draw(st.integers(1, 8), label="rows")
+    thetas = np.array([draw(flow_starts(g, kind, rng)) for _ in range(rows)])
+    # None keeps the package's budget; 1 makes every row a block of its
+    # own, and two rows' worth splits the block in pairs
+    budget = draw(st.sampled_from([None, 1, 2 * (g.n + g.m)]), label="budget")
+    return g, thetas, draw(FLOW_KWARGS, label="flow arguments"), budget
 
 
 class _ExpCountingNumpy:
@@ -345,6 +386,135 @@ def test_flow_is_bitwise_the_reference_flow(case):
     assert counting.exp_calls == res.steps + 1
     wrap_phases(theta0)
     assert theta0.tobytes() == before
+
+
+def assert_rows_are_flows(g, thetas, batch, **kwargs):
+    """Each row of batch holds bitwise the finals of flow_reference and of
+    flow from the same row of thetas."""
+    assert batch.final.shape == thetas.shape and batch.final.dtype == np.float64
+    for i, theta0 in enumerate(thetas):
+        ref = flow_reference(g, theta0, **kwargs)
+        one = flow(g, theta0, **kwargs)
+        got = (batch.final[i], int(batch.steps[i]), str(batch.terminated[i]),
+               batch.energy[i], batch.grad_norm[i], batch.rho1[i])
+        for res in (ref, one):
+            want = (res.final, res.steps, res.terminated,
+                    res.energies[-1], res.grad_norms[-1], res.rho1s[-1])
+            for name, a, b in zip(FLOW_BATCH_FIELDS, got, want):
+                # tobytes compares every bit, the sign of zero included
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (i, name)
+
+
+FLOW_BATCH_FIELDS = ("final", "steps", "terminated", "energy", "grad_norm", "rho1")
+
+
+@settings(max_examples=100, deadline=None)
+@given(flow_batch_cases())
+@example((gen_named("complete", 10), np.array([random_phases(10, 0)]), {}, None))
+@example((Graph(1, np.empty((0, 2), dtype=np.int64)), np.array([[4.0], [-np.pi], [-0.0]]),
+          {"dt_init": 0.5}, 1))
+# a NaN phase makes a NaN gradient norm, which ends its row as converged
+@example((gen_named("cycle", 6), np.array([random_phases(6, 1), [0.5, np.nan, 0, 0, 0, 0]]),
+          {}, None))
+def test_flow_batch_rows_are_bitwise_the_reference_flow(case):
+    g, thetas, kwargs, budget = case
+    before = thetas.tobytes()
+    with mock.patch.object(dynamics, "_FLOW_BLOCK", budget or dynamics._FLOW_BLOCK):
+        batch = flow_batch(g, thetas, **kwargs)
+    for why in set(batch.terminated):
+        event(f"terminated {why}")
+    event(f"block of {max(1, (budget or dynamics._FLOW_BLOCK) // (g.n + g.m))} rows")
+    assert_rows_are_flows(g, thetas, batch, **kwargs)
+    assert thetas.tobytes() == before
+
+
+def test_flow_batch_mixes_exits_in_one_block():
+    # 40 cycle flows end in all three exits; the rows leave the block one
+    # by one, and with a budget of 3 rows the block is also split
+    g = gen_named("cycle", 10)
+    thetas = np.array([random_phases(10, s) for s in range(40)])
+    for budget in (dynamics._FLOW_BLOCK, 3 * (g.n + g.m)):
+        with mock.patch.object(dynamics, "_FLOW_BLOCK", budget):
+            batch = flow_batch(g, thetas, step_cap=400)
+        assert set(batch.terminated) == {"converged", "stalled", "step_cap"}
+        assert_rows_are_flows(g, thetas, batch, step_cap=400)
+
+
+def test_flow_batch_block_past_numpy_elision_size():
+    # 20 rows of 1000 phases: the block's complex temporaries pass 256 KiB,
+    # where numpy would reorder a written z * conj(w), while one row's stay
+    # below it
+    g = gen_erdos_renyi(1000, 0.02, 0)
+    thetas = np.array([random_phases(g.n, s) for s in range(20)])
+    assert thetas.size >= _ELIDE_N > g.n
+    assert_rows_are_flows(g, thetas, flow_batch(g, thetas, step_cap=25), step_cap=25)
+
+
+def test_flow_batch_shapes_and_arguments():
+    g = gen_named("cycle", 5)
+    empty = flow_batch(g, np.empty((0, 5)))
+    assert empty.final.shape == (0, 5) and len(empty.steps) == len(empty.terminated) == 0
+    for bad in (np.zeros(5), np.zeros((2, 4)), np.zeros((1, 2, 5))):
+        with pytest.raises(InputError):
+            flow_batch(g, bad)
+    with pytest.raises(InputError):
+        flow_batch(g, np.zeros((2, 5)), grad_tol=0.0)
+    with pytest.raises(InputError):
+        energy(g, np.zeros((2, 4)))
+
+
+def test_block_kernels_are_bitwise_the_serial_kernels():
+    # a block's energies, gradients and rho_1 row by row against the
+    # frozen one-state bodies, on rows long enough for SIMD loops and
+    # pairwise sums to matter, in blocks past numpy's elision size, and on
+    # rows that are themselves past it (the product's operands swap there)
+    for g, rows in ((gen_named("cycle", 10), 30), (gen_erdos_renyi(1000, 0.02, 0), 30),
+                    (gen_random_regular(300, 7, 1), 60),
+                    (gen_named("cycle", _ELIDE_N - 1), 2), (gen_named("cycle", _ELIDE_N), 2)):
+        thetas = np.array([random_phases(g.n, s) for s in range(rows)])
+        energies = energy(g, thetas)
+        grads, rho1s = _gradients(g.adjacency(), thetas)
+        for i, theta in enumerate(thetas):
+            assert energies[i].tobytes() == np.float64(_ref_energy(g, theta)).tobytes()
+            assert energy(g, theta) == energies[i] and type(energy(g, theta)) is float
+            assert grads[i].tobytes() == _ref_gradient(g, theta).tobytes()
+            assert gradient(g, theta).tobytes() == grads[i].tobytes()
+            assert rho1s[i] == abs(_ref_daido(theta))
+
+
+def test_numpy_facts_the_flow_engine_relies_on():
+    # flow_batch reproduces one-state flows bit for bit only because of
+    # these properties of numpy's reductions; a numpy that changes one of
+    # them fails here by name rather than only in a benchmark digest
+    rng = np.random.default_rng(0)
+    block = rng.uniform(0.0, 1.0, size=(200, 4000))
+    cols = rng.integers(0, 4000, size=3000)
+    rows = [block[i, cols].sum() for i in range(len(block))]
+    # a fancy-indexed gather is Fortran-ordered and its row sums run in
+    # another order than the sum of each row alone
+    gathered = block[:, cols]
+    assert gathered.flags.f_contiguous and not gathered.flags.c_contiguous
+    assert any(a != b for a, b in zip(gathered.sum(axis=1), rows))
+    # np.take along axis 1 is C-contiguous, and its row sums are the serial sums
+    taken = np.take(block, cols, axis=1)
+    assert taken.flags.c_contiguous
+    assert taken.sum(axis=1).tobytes() == np.array(rows).tobytes()
+    # np.abs of a complex array misses abs(complex) in the last ulp on some
+    # entries; hypot of the parts, as abs(complex) computes it, does not
+    z = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(4000, 10))).sum(axis=1) / 10
+    want = np.array([abs(complex(v)) for v in z])
+    assert (np.abs(z) != want).any()
+    assert np.hypot(z.real, z.imag).tobytes() == want.tobytes()
+    # a complex product is not bitwise commutative, and from _ELIDE_N
+    # values on numpy computes a * np.conj(b) in the temporary, as
+    # conj(b) * a; below that size it multiplies in the written order
+    for n in (_ELIDE_N - 1, _ELIDE_N):
+        a, b = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(2, n)))
+        order = np.multiply(a, np.conj(b)), np.multiply(np.conj(b), a)
+        # outside the assert, whose rewrite would hold on to the temporary
+        written = a * np.conj(b)
+        assert order[0].tobytes() != order[1].tobytes()
+        assert written.tobytes() == order[n >= _ELIDE_N].tobytes()
 
 
 def test_classify_equilibrium_all_classes():
@@ -451,6 +621,25 @@ def test_classification_failure_is_a_numerical_error(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main()
     assert exc.value.code == 2
+
+
+def test_simulate_memory_is_bounded_per_block():
+    # 64 runs on G(2000, 0.01): the block takes a few rows at a time, so the
+    # whole command stays within a small multiple of one flow's peak; one
+    # block of all 64 rows would hold 2 * 64 * m energy terms, about 20 MB
+    g = gen_erdos_renyi(2000, 0.01, 0)
+    tracemalloc.start()
+    try:
+        flow(g, random_phases(g.n, 0), step_cap=20)
+        _, one = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        cli.run(["simulate", "--gen", "er:2000,0.01", "--seed", "0", "--runs", "64",
+                 "--step-cap", "20"])
+        _, runs = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _FLOW_BLOCK // (g.n + g.m) < 64
+    assert runs < 6 * one, (runs, one)
 
 
 def test_classification_memory_stays_below_dense():

@@ -295,7 +295,7 @@ def test_erdos_renyi_degree_stream_oracle():
     (12, 0.3, 0, 100),  # 66 pairs: one partial block
     (12, 0.3, 1, 66),  # exactly one block
     (40, 0.2, 2, 64),  # 780 pairs: twelve blocks and a partial one
-    (1500, 0.01, 3, None),  # 1,124,250 pairs: four real blocks and a partial one
+    (1500, 0.01, 3, None),  # 1,124,250 pairs: seventeen real blocks and a partial one
 ])
 def test_erdos_renyi_blocks_match_one_draw(monkeypatch, n, p, seed, block):
     if block is None:
@@ -305,6 +305,16 @@ def test_erdos_renyi_blocks_match_one_draw(monkeypatch, n, p, seed, block):
     eu, ev = gen_erdos_renyi(n, p, seed).edge_arrays()
     want_u, want_v = er_edges_reference(n, p, seed)
     assert len(want_u) > 0
+    assert np.array_equal(eu, want_u) and np.array_equal(ev, want_v)
+
+
+def test_erdos_renyi_edge_buffer_grows(monkeypatch):
+    # an edge buffer that starts at 16 entries has to grow many times over
+    n, p, seed = 300, 0.05, 4
+    monkeypatch.setattr(graphs, "_ER_SIGMAS", -math.sqrt(n * (n - 1) // 2 * p))
+    eu, ev = gen_erdos_renyi(n, p, seed).edge_arrays()
+    want_u, want_v = er_edges_reference(n, p, seed)
+    assert len(want_u) > 16 * 2 ** 6
     assert np.array_equal(eu, want_u) and np.array_equal(ev, want_v)
 
 
@@ -338,8 +348,8 @@ def test_erdos_renyi_memory_stays_small():
     n = 10_000
     g, peak = traced_peak(lambda: gen_erdos_renyi(n, 3 * math.log(n) / n, 0))
     assert g.m == 137_931
-    # about 41 bytes per edge: 2 MiB of uniforms per block, then the graph
-    # build; one block of 2^21 uniforms alone would break the bound
+    # about 41 bytes per edge: 512 KiB of uniforms per block, then the
+    # graph build; one block of 2^21 uniforms alone would break the bound
     assert peak < 100 * g.m
 
 
