@@ -251,10 +251,6 @@ class FlowResult:
     grad_norms: np.ndarray
     rho1s: np.ndarray
 
-    @property
-    def energy_trace(self):
-        return list(zip(self.times.tolist(), self.energies.tolist()))
-
     def to_csv(self, path):
         write_csv(path, ["time", "energy", "grad_norm", "rho1"],
                   zip(self.times, self.energies, self.grad_norms, self.rho1s))

@@ -107,9 +107,6 @@ class Graph:
     def degrees(self):
         return np.diff(self._csr.indptr)
 
-    def degree(self, x):
-        return len(self.neighbors(x))
-
     def neighbors(self, x):
         """Sorted neighbor array of vertex x (a read-only view)."""
         if not (0 <= x < self.n):
@@ -222,6 +219,8 @@ def gen_random_regular(n, d, seed, max_restarts=10000):
     because the probability that a raw pairing is simple decays like
     exp(-(d^2-1)/4) and is negligible already at d = 20. A full restart
     happens only when a round accepts no pair. Deterministic given seed.
+    K_n is the only (n-1)-regular graph, so it is returned without a draw:
+    a near-complete pairing is almost never simple.
 
     A round is matched with array operations. A pair {a, b} is accepted if
     and only if a != b, its key min*n + max is not among the pairs accepted
@@ -241,6 +240,8 @@ def gen_random_regular(n, d, seed, max_restarts=10000):
         raise InputError(f"degree {d} impossible on {n} vertices")
     if d == 0:
         return Graph(n, [])
+    if d == n - 1:
+        return gen_named("complete", n)
     rng = np.random.default_rng(seed)
     for _ in range(max_restarts):
         pending = np.repeat(np.arange(n, dtype=np.int64), d)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,91 +326,94 @@ class MixingReport:
         return record_json(self) | {"worst_slack": self.worst() if self.entries else None}
 
 
-def _bfs_ball(g, src, size):
-    seen = {int(src)}
-    order = [int(src)]
-    q = deque([int(src)])
-    while q and len(order) < size:
-        x = q.popleft()
-        for y in g.neighbors(x):
-            y = int(y)
-            if y not in seen:
-                seen.add(y)
-                order.append(y)
-                q.append(y)
-                if len(order) >= size:
-                    break
-    return order[:size]
-
-
 def _candidate_battery(g):
-    """Deterministic stress sets checked on every run, beyond random draws.
+    """Deterministic stress sets checked on every run, beyond random draws,
+    as sorted int64 index arrays.
 
     Connected (breadth-first) balls are the sharp case for the quadratic
-    internal-edge bound on sparse graphs, so they are always included.
+    internal-edge bound on sparse graphs, so they are always included. The
+    balls of a source are prefixes of one search to n/2 vertices: a search
+    cut off at k vertices visits exactly the first k of a longer one.
     """
     n = g.n
     degs = g.degrees
     half = max(1, n // 2)
-    sets = [[int(np.argmin(degs))], [int(np.argmax(degs))]]
+    hub = int(np.argmax(degs))
+    sets = [np.array([np.argmin(degs)]), np.array([hub])]
     if g.m:
         eu, ev = g.edge_arrays()
-        sets.append([int(eu[0]), int(ev[0])])
-    hub = int(np.argmax(degs))
-    nbhd = [hub] + [int(y) for y in g.neighbors(hub)]
-    sets.append(nbhd[:half] if len(nbhd) > half else nbhd)
-    for src in {0, hub}:
+        sets.append(np.array([eu[0], ev[0]]))
+    sets.append(np.sort(np.concatenate(([hub], g.neighbors(hub)))[:half]))
+    for src in sorted({0, hub}):
+        # breadth-first from src, neighbours in increasing order; the list
+        # being walked is the queue
+        order, seen = [src], {src}
+        for x in order:
+            if len(order) >= half:
+                break
+            new = [y for y in g.neighbors(x).tolist() if y not in seen]
+            seen.update(new)
+            order.extend(new)
+        order = np.array(order[:half], dtype=np.int64)
         size = 4
         while size <= half:
-            sets.append(_bfs_ball(g, src, size))
+            sets.append(np.sort(order[:size]))
             size *= 2
         if half >= 4:
-            sets.append(_bfs_ball(g, src, half))
-    return [s for s in sets if s]
+            sets.append(np.sort(order))
+    return sets
 
 
 def _discrepancy_search(g, d_ref, x, sign, theta):
-    """Hill-climb sign*(e(X,X) - (d/n)|X|^2) - theta*|X| over vertex flips.
+    """Hill-climb sign*(e(X,X) - (d/n)|X|^2) - theta*|X| over vertex flips;
+    returns X as a sorted int64 index array.
 
     Single add/drop moves first, then size-preserving pair swaps to escape
-    one-flip plateaus. s[j] counts the neighbors of j inside X, so a flip
-    of i moves s by one on the neighbors of i. The flip budget guarantees
-    termination even with float-tie pathologies.
+    one-flip plateaus; the flip budget guarantees termination. With s[j]
+    the neighbours of j in X, adding j gains sign*(2s_j - (d/n)(2|X|+1))
+    - theta and dropping it sign*(-2s_j + (d/n)(2|X|-1)) + theta. The
+    search keeps up = sign*s outside X and down = -sign*s in X (-inf
+    elsewhere), which a flip moves by one on the flipped vertex's
+    neighbours. Multiplying by sign = +-1 is exact, so the gains are
+    2*up - sign*(d/n)(2|X|+1) - theta and 2*down + sign*(d/n)(2|X|-1) +
+    theta to the bit; as s is integer-valued they are strictly increasing
+    in up and down, so the first argmax of up (down) is the best add
+    (drop). The best swap trades those two for 2*(up[a] + down[b] -
+    sign*A[a, b]); where no single flip gains, that is positive only if
+    d_ref >= n, or d_ref is near 0 and sign is -1.
     """
     A = g.adjacency()
     n = g.n
     scale = d_ref / n
-    x = x.astype(np.float64).copy()
+    inside = x > 0.5
     s = A @ x
-    k = int(round(x.sum()))
+    up = np.where(inside, -np.inf, sign * s)
+    down = np.where(inside, -sign * s, -np.inf)
+    k = int(inside.sum())
+
+    def flip(i, src, dst):
+        # i leaves the side scored by src for the one scored by dst
+        dst[i], src[i] = -src[i], -np.inf
+        nb = g.neighbors(i)
+        src[nb] += sign
+        dst[nb] -= sign
+
     for _ in range(20 * n):
-        gain_add = sign * (2.0 * s - scale * (2 * k + 1)) - theta
-        gain_add[x > 0.5] = -np.inf
-        gain_drop = sign * (-2.0 * s + scale * (2 * k - 1)) + theta
-        gain_drop[x < 0.5] = -np.inf
-        ia, idr = int(np.argmax(gain_add)), int(np.argmax(gain_drop))
-        if gain_add[ia] >= gain_drop[idr] and gain_add[ia] > 1e-12:
-            x[ia] = 1.0
-            s[g.neighbors(ia)] += 1.0
+        a, b = int(np.argmax(up)), int(np.argmax(down))
+        gain_add = 2.0 * up[a] - sign * scale * (2 * k + 1) - theta
+        gain_drop = 2.0 * down[b] + sign * scale * (2 * k - 1) + theta
+        if gain_add >= gain_drop and gain_add > 1e-12:
+            flip(a, up, down)
             k += 1
-            continue
-        if k > 1 and gain_drop[idr] > 1e-12:
-            x[idr] = 0.0
-            s[g.neighbors(idr)] -= 1.0
+        elif k > 1 and gain_drop > 1e-12:
+            flip(b, down, up)
             k -= 1
-            continue
-        into = np.where(x > 0.5, -np.inf, sign * 2.0 * s)
-        outof = np.where(x > 0.5, sign * 2.0 * s, np.inf)
-        a, b = int(np.argmax(into)), int(np.argmin(outof))
-        if k >= 2 and np.isfinite(into[a]) and np.isfinite(outof[b]) \
-                and into[a] - outof[b] - 2.0 * sign * A[a, b] > 1e-12:
-            x[a] = 1.0
-            s[g.neighbors(a)] += 1.0
-            x[b] = 0.0
-            s[g.neighbors(b)] -= 1.0
-            continue
-        break
-    return np.flatnonzero(x > 0.5)
+        elif k >= 2 and up[a] + down[b] - sign * A[a, b] > 0:
+            flip(a, up, down)
+            flip(b, down, up)
+        else:
+            break
+    return np.flatnonzero(down > -np.inf)
 
 
 def _adversarial_battery(g, d_ref):
@@ -435,9 +437,7 @@ def _adversarial_battery(g, d_ref):
             continue
         for v in (vec, -vec):
             order = np.argsort(-v)
-            for frac in (8, 4, 2):
-                cut = np.sort(order[: max(1, n // frac)])
-                out.append(cut.tolist())
+            out.extend(np.sort(order[: max(1, n // frac)]) for frac in (8, 4, 2))
             x0 = np.zeros(n)
             x0[order[: max(1, n // 4)]] = 1.0
             theta = 0.0
@@ -448,7 +448,7 @@ def _adversarial_battery(g, d_ref):
                 x0[xs] = 1.0
                 qf = x0 @ mv(x0)
                 theta = sign * (qf / kk)
-            out.append(xs.tolist())
+            out.append(xs)
     return out
 
 
@@ -549,10 +549,8 @@ def check_mixing_bounds(g, profile, trials, seed):
         else:
             skipped.add("small_set_outflow")
 
-    for xs in _candidate_battery(g):
-        check_single(np.asarray(sorted(xs), dtype=np.int64))
-    for xs in _adversarial_battery(g, d):
-        check_single(np.asarray(sorted(xs), dtype=np.int64))
+    for xs in _candidate_battery(g) + _adversarial_battery(g, d):
+        check_single(xs)
     for _ in range(trials):
         size = int(rng.integers(1, max(2, n // 2 + 1)))
         xs = np.sort(rng.choice(n, size=size, replace=False))

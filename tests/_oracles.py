@@ -10,6 +10,7 @@ code, which faster or merged versions must reproduce bit for bit.
 
 import csv
 import math
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -254,6 +255,91 @@ def centered_norm_floor(g, d_ref, iters=24, seed=0):
             return 0.0
         x = y / norm
     return math.sqrt(np.linalg.norm(mv(mv(x))))
+
+
+def _bfs_ball_reference(g, src, size):
+    seen = {int(src)}
+    order = [int(src)]
+    q = deque([int(src)])
+    while q and len(order) < size:
+        x = q.popleft()
+        for y in g.neighbors(x):
+            y = int(y)
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+                q.append(y)
+                if len(order) >= size:
+                    break
+    return order[:size]
+
+
+def candidate_battery_reference(g):
+    """The mixing check's deterministic stress sets, as unsorted lists.
+
+    Frozen copy of the battery that ran one breadth-first search per ball;
+    the library's battery must give the same sets in the same order.
+    """
+    n = g.n
+    degs = g.degrees
+    half = max(1, n // 2)
+    sets = [[int(np.argmin(degs))], [int(np.argmax(degs))]]
+    if g.m:
+        eu, ev = g.edge_arrays()
+        sets.append([int(eu[0]), int(ev[0])])
+    hub = int(np.argmax(degs))
+    nbhd = [hub] + [int(y) for y in g.neighbors(hub)]
+    sets.append(nbhd[:half] if len(nbhd) > half else nbhd)
+    for src in {0, hub}:
+        size = 4
+        while size <= half:
+            sets.append(_bfs_ball_reference(g, src, size))
+            size *= 2
+        if half >= 4:
+            sets.append(_bfs_ball_reference(g, src, half))
+    return [s for s in sets if s]
+
+
+def discrepancy_search_reference(g, d_ref, x, sign, theta):
+    """Frozen copy of the mixing check's flip search, which rebuilt both
+    gain arrays at every step and chose swaps by a second selection.
+
+    The library's search must return the same vertex set for every start.
+    """
+    A = g.adjacency()
+    n = g.n
+    scale = d_ref / n
+    x = x.astype(np.float64).copy()
+    s = A @ x
+    k = int(round(x.sum()))
+    for _ in range(20 * n):
+        gain_add = sign * (2.0 * s - scale * (2 * k + 1)) - theta
+        gain_add[x > 0.5] = -np.inf
+        gain_drop = sign * (-2.0 * s + scale * (2 * k - 1)) + theta
+        gain_drop[x < 0.5] = -np.inf
+        ia, idr = int(np.argmax(gain_add)), int(np.argmax(gain_drop))
+        if gain_add[ia] >= gain_drop[idr] and gain_add[ia] > 1e-12:
+            x[ia] = 1.0
+            s[g.neighbors(ia)] += 1.0
+            k += 1
+            continue
+        if k > 1 and gain_drop[idr] > 1e-12:
+            x[idr] = 0.0
+            s[g.neighbors(idr)] -= 1.0
+            k -= 1
+            continue
+        into = np.where(x > 0.5, -np.inf, sign * 2.0 * s)
+        outof = np.where(x > 0.5, sign * 2.0 * s, np.inf)
+        a, b = int(np.argmax(into)), int(np.argmin(outof))
+        if k >= 2 and np.isfinite(into[a]) and np.isfinite(outof[b]) \
+                and into[a] - outof[b] - 2.0 * sign * A[a, b] > 1e-12:
+            x[a] = 1.0
+            s[g.neighbors(a)] += 1.0
+            x[b] = 0.0
+            s[g.neighbors(b)] -= 1.0
+            continue
+        break
+    return np.flatnonzero(x > 0.5)
 
 
 def _ref_wrap_phases(theta):

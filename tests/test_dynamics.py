@@ -261,7 +261,7 @@ def test_flow_csv_round_trip(tmp_path):
     assert len(lines) == len(res.times) + 1
     last = [float(tok) for tok in lines[-1].split(",")]
     assert last[1] == float(res.energies[-1])  # repr round trip is exact
-    assert res.energy_trace[0] == (0.0, float(res.energies[0]))
+    assert next(zip(res.times, res.energies)) == (0.0, res.energies[0])
 
 
 FLOW_FIELDS = ("steps", "terminated", "final", "times", "energies", "grad_norms", "rho1s")

@@ -1,6 +1,7 @@
 """Graph container, exact pair counting, generators, file format."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -50,7 +51,7 @@ def test_named_family_shapes():
 
     g = gen_named("star", 7)
     assert g.m == 6
-    assert g.degree(0) == 6  # hub first
+    assert g.degrees[0] == 6  # hub first
 
     # two K_5 blocks plus the single bridge edge
     g = gen_named("two_cliques_bridged", 10)
@@ -401,7 +402,11 @@ def test_random_regular_matches_sequential_pairing(data):
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
     # few restarts, so dense pairings also reach the GenerationError path
     restarts = data.draw(st.integers(1, 3), label="max_restarts")
-    assert regular_arrays(n, d, seed, restarts) == reference_arrays(n, d, seed, restarts)
+    want = reference_arrays(n, d, seed, restarts)
+    if d == n - 1 and isinstance(want, str):
+        # K_n, the only (n-1)-regular graph, is returned without a pairing
+        want = tuple(a.tolist() for a in graph_arrays(gen_named("complete", n)))
+    assert regular_arrays(n, d, seed, restarts) == want
 
 
 @pytest.mark.parametrize("n,d,seed", [(2000, 200, 0), (2500, 20, 0), (2500, 20, 1)])
@@ -412,15 +417,31 @@ def test_random_regular_matches_sequential_pairing_at_scale(n, d, seed):
 
 
 def test_random_regular_runs_out_of_restarts():
-    # K_12 as a pairing: seeds 0-2 get stuck in their one restart, seed 12
-    # completes it (both read off the sequential oracle)
+    # 10-regular on 12 vertices: seeds 0-2 get stuck in their one restart,
+    # seed 17 completes it (both read off the sequential oracle)
     for seed in (0, 1, 2):
         with pytest.raises(GenerationError, match="in 1 restarts"):
-            gen_random_regular(12, 11, seed, max_restarts=1)
+            gen_random_regular(12, 10, seed, max_restarts=1)
         with pytest.raises(GenerationError):
-            pairing_reference(12, 11, seed, 1)
-        assert gen_random_regular(12, 11, seed).m == 66
-    assert gen_random_regular(12, 11, 12, max_restarts=1).m == 66
+            pairing_reference(12, 10, seed, 1)
+        assert gen_random_regular(12, 10, seed).m == 60
+    assert gen_random_regular(12, 10, 17, max_restarts=1).m == 60
+
+
+def test_random_regular_of_degree_n_minus_1_is_complete():
+    # the pairing spent 26 s on 10,000 restarts of (60, 59, 4) before failing
+    want = graph_arrays(gen_named("complete", 60))
+    for seed in (0, 4, 7):
+        start = time.perf_counter()
+        g = gen_random_regular(60, 59, seed, max_restarts=1)
+        assert time.perf_counter() - start < 0.5
+        assert all(np.array_equal(a, b) for a, b in zip(graph_arrays(g), want))
+    want = graph_arrays(gen_named("complete", 4))
+    for seed in range(8):
+        got = graph_arrays(gen_random_regular(4, 3, seed))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # the pairing, which succeeds at these seeds, finds the same graph
+        assert reference_arrays(4, 3, seed) == tuple(a.tolist() for a in want)
 
 
 def test_random_regular_memory_stays_linear():

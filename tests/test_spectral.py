@@ -9,14 +9,18 @@ pair counting inside the mixing report.
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from kurasync import spectral
 from kurasync import (
     ExpanderProfile,
+    Graph,
     InputError,
     centered_adjacency_alpha,
     centered_laplacian_extremes,
@@ -29,7 +33,13 @@ from kurasync import (
     gen_random_regular,
 )
 
-from _oracles import dense_alpha, dense_laplacian_extremes
+from _oracles import (
+    candidate_battery_reference,
+    dense_adjacency,
+    dense_alpha,
+    dense_laplacian_extremes,
+    discrepancy_search_reference,
+)
 
 TOL = 1e-8
 
@@ -287,3 +297,168 @@ def test_dense_path_small_n():
         centered_adjacency_alpha(g, 0.0)
     with pytest.raises(InputError):
         centered_laplacian_extremes(g, 2.0, tol=0.0)
+
+
+MIXING_GRAPHS = ("regular", "er", "er_sparse", "star", "two_cliques_bridged", "path", "complete")
+
+
+@st.composite
+def mixing_graphs(draw):
+    """Graphs of every kind the mixing check's batteries are compared on;
+    er_sparse sits below the connectivity threshold, so it is mostly
+    disconnected."""
+    kind = draw(st.sampled_from(MIXING_GRAPHS), label="kind")
+    seed = draw(st.integers(0, 2 ** 16), label="seed")
+    if kind == "regular":
+        d = draw(st.integers(2, 8), label="d")
+        n = draw(st.integers(d + 1, 60), label="n")
+        return gen_random_regular(n + (n * d) % 2, d, seed)
+    if kind == "er":
+        n = draw(st.integers(2, 60), label="n")
+        return gen_erdos_renyi(n, draw(st.floats(0.05, 0.9), label="p"), seed)
+    if kind == "er_sparse":
+        n = draw(st.integers(16, 80), label="n")
+        return gen_erdos_renyi(n, draw(st.floats(0.5, 2.0), label="np") / n, seed)
+    if kind == "two_cliques_bridged":
+        return gen_named(kind, 2 * draw(st.integers(2, 15), label="half"))
+    return gen_named(kind, draw(st.integers(1, 40), label="n"))
+
+
+def mixing_reports(g, prof, trials, seed):
+    """check_mixing_bounds as JSON text, run as it is and with the frozen
+    batteries.
+
+    Both runs get the same eigenpairs: ARPACK draws a fresh start vector
+    from a seed it keeps across calls when a Krylov space closes early (as
+    on a graph of few distinct eigenvalues), so a repeated extreme
+    eigenvalue can come back with another eigenvector on a second call.
+    """
+    real, pairs = spectral._extreme_eigenpair, {}
+
+    def eigenpair(mv, n, which, tol_abs, norm_bound=None):
+        if (which, tol_abs) not in pairs:
+            pairs[which, tol_abs] = real(mv, n, which, tol_abs, norm_bound)
+        return pairs[which, tol_abs]
+
+    def report():
+        return json.dumps(check_mixing_bounds(g, prof, trials, seed).to_json_dict())
+
+    with mock.patch.object(spectral, "_extreme_eigenpair", eigenpair):
+        got = report()
+        with mock.patch.object(spectral, "_candidate_battery", candidate_battery_reference), \
+                mock.patch.object(spectral, "_discrepancy_search", discrepancy_search_reference):
+            return got, report()
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixing_graphs(), st.one_of(st.none(), st.floats(0.1, 2.0)), st.sampled_from([1.0, -1.0]),
+       st.floats(-2.0, 2.0), st.floats(0.0, 1.0), st.integers(0, 2 ** 16))
+@example(gen_random_regular(48, 6, 0), None, 1.0, 0.0, 0.25, 0)
+@example(gen_named("complete", 12), None, 1.0, -1.0, 1.0, 1)
+@example(gen_named("star", 1), None, -1.0, 0.5, 1.0, 2)
+@example(gen_named("complete", 4), 1.5, 1.0, -0.5, 0.25, 0)  # a swap of adjacent vertices
+# five disjoint edges: ARPACK restarts from its own seed on this graph
+@example(Graph(36, [(1, 28), (2, 27), (10, 29), (16, 35), (31, 34)]), None, 1.0, 0.0, 0.0, 0)
+def test_mixing_batteries_match_the_frozen_ones(g, d_per_n, sign, theta_scale, density, seed):
+    # d_ref is the average degree, or a free multiple of n: only d_ref >= n
+    # lets a swap gain where no single flip does
+    if d_per_n is not None:
+        d = d_per_n * g.n
+    else:
+        d = 2.0 * g.m / g.n if g.m else 1.0
+    battery = spectral._candidate_battery(g)
+    assert all(xs.dtype == np.int64 for xs in battery)
+    assert [xs.tolist() for xs in battery] == [sorted(xs) for xs in candidate_battery_reference(g)]
+
+    # random 0/1 start and theta; the flips meet many ties in the gains
+    x = (np.random.default_rng(seed).random(g.n) < density).astype(np.float64)
+    got = spectral._discrepancy_search(g, d, x, sign, theta_scale * d)
+    assert got.dtype == np.int64
+    assert got.tolist() == discrepancy_search_reference(g, d, x, sign, theta_scale * d).tolist()
+
+    got, want = mixing_reports(g, expander_profile(g, d_ref=d), 10, seed)
+    assert got == want
+
+
+def subset_counts(g):
+    """E[X, Y] = e(X, Y) for every pair of vertex subsets, by S A S^T with S
+    the indicator rows of all 2^n subsets; a subset is indexed by its bitmask."""
+    S = ((np.arange(2 ** g.n)[:, None] >> np.arange(g.n)) & 1).astype(np.float64)
+    return S.sum(axis=1), S @ dense_adjacency(g) @ S.T
+
+
+def bitmask(xs):
+    return sum(1 << int(v) for v in xs)
+
+
+SMALL_GRAPHS = {
+    "complete:9": gen_named("complete", 9),
+    "cycle:10": gen_named("cycle", 10),
+    "path:10": gen_named("path", 10),
+    "star:10": gen_named("star", 10),
+    "two_cliques_bridged:10": gen_named("two_cliques_bridged", 10),
+    "regular:10,3": gen_random_regular(10, 3, 0),
+    "regular:10,4": gen_random_regular(10, 4, 2),
+    "er:10,0.5": gen_erdos_renyi(10, 0.5, 3),
+    "er:9,0.3": gen_erdos_renyi(9, 0.3, 1),
+}
+
+
+@pytest.mark.parametrize("g", SMALL_GRAPHS.values(), ids=SMALL_GRAPHS.keys())
+def test_mixing_report_matches_every_subset(g):
+    # e(X, Y) over all subsets checks each recorded count, and the search
+    # results against every single flip
+    n, full = g.n, 2 ** g.n - 1
+    sizes, E = subset_counts(g)
+    prof = expander_profile(g)
+    d = prof.d_ref
+    counted, searched = [], []
+    real_count, real_search = spectral.edges_between, spectral._discrepancy_search
+
+    def count(g_, xs, ys):
+        counted.append((bitmask(xs), bitmask(ys)))
+        return real_count(g_, xs, ys)
+
+    def search(g_, d_ref, x, sign, theta):
+        xs = real_search(g_, d_ref, x, sign, theta)
+        searched.append((sign, theta, bitmask(xs)))
+        return xs
+
+    with mock.patch.object(spectral, "edges_between", count), \
+            mock.patch.object(spectral, "_discrepancy_search", search):
+        rep = check_mixing_bounds(g, prof, trials=40, seed=0)
+
+    calls = iter(counted)
+    for e in rep.entries:
+        if e.lemma == "internal_pairs":
+            X, Y = next(calls)
+            assert X == Y
+            want = E[X, X]
+        elif e.lemma == "cut_to_complement":
+            want = E[X, full ^ X]
+        elif e.lemma == "incident_edge_mass":
+            want = E[X, full]
+        elif e.lemma == "nested_cut":
+            X2, Y = next(calls)
+            assert X2 == X and X & ~Y == 0 and e.Y_size == sizes[Y]
+            want = E[X, full ^ Y]
+        else:
+            want = E[X, full ^ Y]  # small_set_outflow, after its nested_cut
+        assert e.value == want and e.X_size == sizes[X], e
+    assert next(calls, None) is None
+
+    # a search stops where no flip it may make gains more than its 1e-12
+    # threshold: an add, or a drop that leaves X nonempty
+    assert len(searched) == 16
+    flips = np.arange(2 ** n)[:, None] ^ (1 << np.arange(n))
+    for sign, theta, X in searched:
+        objective = sign * (np.diag(E) - (d / n) * sizes ** 2) - theta * sizes
+        moves = flips[X][sizes[flips[X]] >= 1]
+        assert objective[moves].max() - objective[X] <= 1e-9
+
+    # the profile bounds the discrepancy of every subset, and on these
+    # graphs the checked sets reach the worst subset
+    slack = prof.alpha * d * sizes[1:] - np.abs(np.diag(E)[1:] - (d / n) * sizes[1:] ** 2)
+    assert slack.min() >= -rep.allowance
+    worst = min(e.slack for e in rep.entries if e.lemma == "internal_pairs")
+    assert worst == pytest.approx(slack.min(), abs=1e-9)
