@@ -55,10 +55,13 @@ FIXED_POINT_MAX_ITERS = 10 ** 6
 
 
 def _bisect(inside, lo, hi, tol):
-    """Halve [lo, hi] until it is at most tol wide; inside(lo) holds and
-    inside(hi) fails on entry, and both stay so. Returns the final (lo, hi)."""
+    """Halve [lo, hi] until it is at most tol wide, or until its midpoint
+    rounds to an endpoint; inside(lo) holds and inside(hi) fails on entry,
+    and both stay so. Returns the final (lo, hi)."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if inside(mid):
             lo = mid
         else:
@@ -201,9 +204,6 @@ def theorem_condition(profile):
     the degenerate limit where both conditions vanish.
     """
     alpha, cm, cp = profile.alpha, profile.c_minus, profile.c_plus
-    for name, v in (("alpha", alpha), ("c_minus", cm), ("c_plus", cp)):
-        if not math.isfinite(v):
-            raise InputError(f"profile field {name} is not finite: {v}")
     reasons = []
     if cm <= -1.0:
         return CertResult(
@@ -355,22 +355,8 @@ class AmplificationTrace:
                   ((r.k, r.beta, r.mass_frac, r.step_kind) for r in self.rows))
 
 
-def _fail_trace(rows, rhs, mode, alpha, reason):
-    return AmplificationTrace(
-        rows=tuple(rows), verdict="fail", final_check_lhs=0.0,
-        final_check_rhs=rhs, mode=mode, alpha=alpha, reason=reason,
-    )
-
-
-def _final_trace(rows, lhs, budget, mode, alpha):
-    # the certified mass must strictly exceed the budget
-    passed = lhs > budget
-    return AmplificationTrace(
-        rows=tuple(rows), verdict="pass" if passed else "fail", final_check_lhs=lhs,
-        final_check_rhs=budget, mode=mode, alpha=alpha,
-        reason="" if passed else
-        f"certified mass {lhs:.6g} does not exceed the budget {budget:.6g}",
-    )
+class _Refuted(Exception):
+    """An engine cannot certify the profile; the message is the fail reason."""
 
 
 def _spend(x, paper_proof):
@@ -400,22 +386,17 @@ def _tail_spend(x, delta, paper_proof):
     return total + 0.5 * math.pi * xj / delta
 
 
-def _schedule_run(profile, schedule, mode, budget):
+def _schedule_run(profile, schedule, mode, rows):
+    """Replay schedule step by step, appending a row per step; returns the
+    certified mass. A step that cannot be taken appends its row, marked
+    with the ratio as it stood before the step, and raises _Refuted."""
     alpha, cm, cp = profile.alpha, profile.c_minus, profile.c_plus
     paper_proof = mode == "paper_proof"
     gate = (1.0 + cp + alpha) / (2.0 * alpha) if alpha > 0.0 else math.inf
     beta = 0.5 * math.pi
     ratio = 1.0
-    rows = [TraceRow(0, beta, 1.0, 0.0, "start", "none", "ok")]
     cap_candidates = []
     saw_small_arc = False
-    main_lhs = None
-
-    def fail(i, at_beta, step, status, reason):
-        # the marked row carries the ratio as it stood before step i
-        rows.append(TraceRow(i, at_beta, ratio, 0.0, step.kind, "none", status))
-        return _fail_trace(rows, budget, mode, alpha, f"step {i}: {reason}")
-
     for i, step in enumerate(schedule.steps, start=1):
         if not step.eps < 1.0 + cm:
             raise ScheduleError(
@@ -435,16 +416,16 @@ def _schedule_run(profile, schedule, mode, budget):
                 )
             x = 2.0 * (1.0 + cp + alpha) / (denom * ratio) if math.isfinite(ratio) else 0.0
         if x > 1.0:
-            return fail(i, beta, step, "infeasible", f"required sine {x:.4f} exceeds 1")
+            rows.append(TraceRow(i, beta, ratio, 0.0, step.kind, "none", "infeasible"))
+            raise _Refuted(f"step {i}: required sine {x:.4f} exceeds 1")
         beta_new = beta - (_tail_spend(x, delta, paper_proof) if tail else _spend(x, paper_proof))
         if beta_new < 0.0:
-            return fail(i, beta_new, step, "below_zero",
-                        "angle budget exhausted" + (" in the tail" if tail else ""))
+            rows.append(TraceRow(i, beta_new, ratio, 0.0, step.kind, "none", "below_zero"))
+            raise _Refuted(f"step {i}: angle budget exhausted" + (" in the tail" if tail else ""))
         beta = beta_new
-        if tail:
-            main_lhs = 0.5 * math.sin(beta) ** 2
+        if tail:  # always the last step
             rows.append(TraceRow(i, beta, ratio, 0.5, step.kind, "half_n", "ok"))
-            continue
+            return min([0.5 * math.sin(beta) ** 2] + cap_candidates)
         ratio = ratio * (1.0 + delta) if math.isfinite(delta) else math.inf
         if small_arc:
             # scenario where the rho*alpha*n cap binds at this step: that
@@ -453,36 +434,30 @@ def _schedule_run(profile, schedule, mode, budget):
             saw_small_arc = True
         rows.append(TraceRow(i, beta, ratio, 0.0, step.kind,
                              "alpha_n" if small_arc else "none", "ok"))
-    if main_lhs is None:
-        return _fail_trace(rows, budget, mode, alpha,
-                           "schedule has no tail step, so no absolute mass bound exists")
-    return _final_trace(rows, min([main_lhs] + cap_candidates), budget, mode, alpha)
+    raise _Refuted("schedule has no tail step, so no absolute mass bound exists")
 
 
-def _auto_proof_run(profile, budget):
+def _auto_proof_run(profile, rows):
     """Aggregate replay of the sufficient-condition proof.
 
     Stage 1 (small-arc regime, eps = (1+c_minus)/2, rho = 1) spends at most
     (pi/4) * stage1_frac of angle, where stage1_frac bounds both the per-step
     cost times the step count and the leftover rounding step; the tail spends
     at most (pi/16) * condition1. The two scenario values are the alpha*n cap
-    at the stage-1 angle and the half-mass bound at the final angle.
+    at the stage-1 angle and the half-mass bound at the final angle. Appends
+    the two stage rows and returns the certified mass, or raises _Refuted.
     """
     alpha, cm, cp = profile.alpha, profile.c_minus, profile.c_plus
-    mode = "paper_proof"
-    cond = theorem_condition(profile)
-    rows = [TraceRow(0, 0.5 * math.pi, 1.0, 0.0, "start", "none", "ok")]
     if alpha > 0.2:
-        return _fail_trace(rows, budget, mode, alpha, f"alpha={alpha} exceeds the 1/5 gate")
+        raise _Refuted(f"alpha={alpha} exceeds the 1/5 gate")
     if alpha == 0.0:
-        return _fail_trace(rows, budget, mode, alpha,
-                           "alpha = 0 leaves no strict margin over the zero budget")
+        raise _Refuted("alpha = 0 leaves no strict margin over the zero budget")
+    cond = theorem_condition(profile)
     c1, c2 = cond.condition1, cond.condition2
     stage1_frac = max(16.0 * alpha / (1.0 + cm), c2)
     if c1 >= 1.0 or stage1_frac >= 1.0:
-        return _fail_trace(
-            rows, budget, mode, alpha,
-            f"closed-form condition fails (condition1={c1:.4f}, stage1 fraction={stage1_frac:.4f})",
+        raise _Refuted(
+            f"closed-form condition fails (condition1={c1:.4f}, stage1 fraction={stage1_frac:.4f})"
         )
     gate = (1.0 + cp + alpha) / (2.0 * alpha)
     beta_mid = 0.5 * math.pi - 0.25 * math.pi * stage1_frac
@@ -491,41 +466,57 @@ def _auto_proof_run(profile, budget):
     main_lhs = 0.5 * math.sin(beta_final) ** 2
     rows.append(TraceRow(1, beta_mid, gate, 0.0, "stage1", "alpha_n", "ok"))
     rows.append(TraceRow(2, beta_final, gate, 0.5, "tail", "half_n", "ok"))
-    return _final_trace(rows, min(branch_lhs, main_lhs), budget, mode, alpha)
+    return min(branch_lhs, main_lhs)
 
 
-def amplification_run(profile, schedule=None, mode="numeric", regular_mode=None):
+def amplification_run(profile, schedule=None, mode="numeric"):
     """Replay an amplification schedule against a profile.
 
     mode numeric uses exact asin spends and a truncated tail series; mode
     paper_proof replaces every asin(x) by its overestimate pi*x/2 and sums
     the tail in closed form, so it never passes where numeric mode fails.
     With schedule None, mode must be paper_proof and the aggregate replay of
-    the closed-form proof is used. regular_mode (for the budget recursion)
-    is auto-detected from c_minus == -alpha == -c_plus when not given.
+    the closed-form proof is used. The budget recursion runs in regular
+    mode exactly when the profile has the shape (alpha, -alpha, alpha) with
+    alpha > 0.
 
-    Returns a trace; infeasible steps and exhausted angle budgets are fail
-    verdicts with the offending row marked, never exceptions. A large-arc
-    step before its mass-ratio gate is a ScheduleError.
+    Returns a trace that passes when the certified mass (final_check_lhs)
+    strictly exceeds the budget (final_check_rhs). Failing to certify is a
+    fail verdict, never an exception. Where no certified mass is reached (a
+    window reaching c_minus = -1, an alpha outside the budget recursion's
+    domain, an infeasible step or exhausted angle, whose row is marked, no
+    tail step, a failed closed-form condition) lhs is 0 and rhs the budget,
+    or inf if none was computed. A step with eps not below 1 + c_minus, or a
+    large-arc step before its mass-ratio gate, is a ScheduleError.
     """
     if mode not in ("numeric", "paper_proof"):
         raise InputError(f"mode must be 'numeric' or 'paper_proof', got {mode!r}")
     if schedule is None and mode != "paper_proof":
         raise InputError("numeric mode needs an explicit schedule")
     alpha, cm, cp = profile.alpha, profile.c_minus, profile.c_plus
-    if regular_mode is None:
-        regular_mode = alpha > 0.0 and cm == -alpha and cp == alpha
-    start_row = TraceRow(0, 0.5 * math.pi, 1.0, 0.0, "start", "none", "ok")
-    if cm <= -1.0:
-        return _fail_trace([start_row], math.inf, mode, alpha,
-                           "spectral window reaches -1: the graph may be disconnected")
+    rows = [TraceRow(0, 0.5 * math.pi, 1.0, 0.0, "start", "none", "ok")]
+    budget = math.inf
     try:
-        budget = order_param_bounds(alpha, regular_mode=regular_mode).s_budget
-    except DomainError as exc:
-        return _fail_trace([start_row], math.inf, mode, alpha, str(exc))
-    if schedule is None:
-        return _auto_proof_run(profile, budget)
-    return _schedule_run(profile, schedule, mode, budget)
+        if cm <= -1.0:
+            raise _Refuted("spectral window reaches -1: the graph may be disconnected")
+        regular = alpha > 0.0 and cm == -alpha and cp == alpha
+        try:
+            budget = order_param_bounds(alpha, regular_mode=regular).s_budget
+        except DomainError as exc:
+            raise _Refuted(str(exc)) from None
+        if schedule is None:
+            lhs = _auto_proof_run(profile, rows)
+        else:
+            lhs = _schedule_run(profile, schedule, mode, rows)
+    except _Refuted as exc:
+        lhs, reason = 0.0, str(exc)
+    else:
+        reason = "" if lhs > budget else (
+            f"certified mass {lhs:.6g} does not exceed the budget {budget:.6g}")
+    return AmplificationTrace(
+        rows=tuple(rows), verdict="fail" if reason else "pass", final_check_lhs=lhs,
+        final_check_rhs=budget, mode=mode, alpha=alpha, reason=reason,
+    )
 
 
 def max_alpha_regular(schedule, lo, hi, tol=1e-5):
@@ -536,16 +527,16 @@ def max_alpha_regular(schedule, lo, hi, tol=1e-5):
     aggregate paper_proof replay is used. The pass region is assumed to be
     an interval, verified by requiring a pass at lo and a fail at hi.
     """
-    if not (0.0 <= lo < hi):
-        raise InputError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
-    if not tol > 0.0:
-        raise InputError(f"tol must be positive, got {tol}")
+    if not (0.0 <= lo < hi < math.inf):
+        raise InputError(f"need 0 <= lo < hi < inf, got lo={lo}, hi={hi}")
+    if not 0.0 < tol < math.inf:
+        raise InputError(f"tol must be finite and positive, got {tol}")
 
     mode = "paper_proof" if schedule is None else "numeric"
 
     def passes(a):
         prof = ExpanderProfile(n=1, d_ref=1.0, alpha=a, c_minus=-a, c_plus=a)
-        return amplification_run(prof, schedule, mode=mode, regular_mode=True).verdict == "pass"
+        return amplification_run(prof, schedule, mode=mode).verdict == "pass"
 
     if not passes(lo):
         raise BracketError(f"amplification already fails at the lower endpoint {lo}")

@@ -104,6 +104,10 @@ class ExpanderProfile:
     source: str = "asserted"
 
     def __post_init__(self):
+        for name in ("d_ref", "alpha", "c_minus", "c_plus", "tol"):
+            value = getattr(self, name)
+            if not -np.inf < value < np.inf:
+                raise InputError(f"profile field {name} is not finite: {value}")
         if self.n < 1:
             raise InputError(f"profile needs n >= 1, got {self.n}")
         if not self.d_ref > 0:
@@ -227,12 +231,16 @@ def _extreme_eigenpair(mv, n, which, tol_abs, norm_bound=None):
     )
 
 
+def _check_scale(d_ref, tol):
+    # both scale the eigensolver's stopping residual, which must be a finite bound
+    for name, value in (("d_ref", d_ref), ("tol", tol)):
+        if not 0 < value < np.inf:
+            raise InputError(f"{name} must be finite and positive, got {value}")
+
+
 def centered_adjacency_alpha(g, d_ref, tol=DEFAULT_TOL):
     """alpha = ||Delta_A|| / d_ref with residual-certified accuracy tol*d_ref."""
-    if not d_ref > 0:
-        raise InputError(f"d_ref must be positive, got {d_ref}")
-    if not tol > 0:
-        raise InputError(f"tol must be positive, got {tol}")
+    _check_scale(d_ref, tol)
     mv = _centered_adjacency_matvec(g, d_ref)
     lam, _, _ = _extreme_eigenpair(mv, g.n, "LM", tol * d_ref)
     return abs(lam) / d_ref
@@ -240,10 +248,7 @@ def centered_adjacency_alpha(g, d_ref, tol=DEFAULT_TOL):
 
 def centered_laplacian_extremes(g, d_ref, tol=DEFAULT_TOL):
     """(c_minus, c_plus): extreme eigenvalues of Delta_L divided by d_ref."""
-    if not d_ref > 0:
-        raise InputError(f"d_ref must be positive, got {d_ref}")
-    if not tol > 0:
-        raise InputError(f"tol must be positive, got {tol}")
+    _check_scale(d_ref, tol)
     mv = _centered_laplacian_matvec(g, d_ref)
     lo, _, _ = _extreme_eigenpair(mv, g.n, "SA", tol * d_ref)
     hi, _, _ = _extreme_eigenpair(mv, g.n, "LA", tol * d_ref)

@@ -15,7 +15,18 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from kurasync import GenerationError, InputError
+from kurasync import (
+    AmplificationTrace,
+    DomainError,
+    GenerationError,
+    InputError,
+    ScheduleError,
+    SmallArcStep,
+    TailStep,
+    order_param_bounds,
+    theorem_condition,
+)
+from kurasync.certify import TraceRow
 
 
 def canonical_graph_arrays(n, edges):
@@ -479,3 +490,154 @@ def sweep_csv_reference(path, header, rows):
         w.writerow(header)
         for row in rows:
             w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+
+
+# Frozen copy of the amplification engine as it stood while two trace
+# constructors and a regular_mode knob were in place. The library engine,
+# which builds every trace in one place and detects the budget recursion
+# from the profile, must match it field for field and error for error.
+
+def _ref_fail_trace(rows, rhs, mode, alpha, reason):
+    return AmplificationTrace(
+        rows=tuple(rows), verdict="fail", final_check_lhs=0.0,
+        final_check_rhs=rhs, mode=mode, alpha=alpha, reason=reason,
+    )
+
+
+def _ref_final_trace(rows, lhs, budget, mode, alpha):
+    passed = lhs > budget
+    return AmplificationTrace(
+        rows=tuple(rows), verdict="pass" if passed else "fail", final_check_lhs=lhs,
+        final_check_rhs=budget, mode=mode, alpha=alpha,
+        reason="" if passed else
+        f"certified mass {lhs:.6g} does not exceed the budget {budget:.6g}",
+    )
+
+
+def _ref_spend(x, paper_proof):
+    if paper_proof:
+        return 0.5 * math.pi * x
+    return math.asin(x)
+
+
+def _ref_tail_spend(x, delta, paper_proof):
+    if x == 0.0:
+        return 0.0
+    if paper_proof:
+        if math.isfinite(delta):
+            return 0.5 * math.pi * x * (1.0 + delta) / delta
+        return 0.5 * math.pi * x
+    total = 0.0
+    xj = x
+    j = 0
+    while xj > 1e-9 and j < 400:
+        total += math.asin(xj)
+        xj /= 1.0 + delta
+        j += 1
+    return total + 0.5 * math.pi * xj / delta
+
+
+def _ref_schedule_run(profile, schedule, mode, budget):
+    alpha, cm, cp = profile.alpha, profile.c_minus, profile.c_plus
+    paper_proof = mode == "paper_proof"
+    gate = (1.0 + cp + alpha) / (2.0 * alpha) if alpha > 0.0 else math.inf
+    beta = 0.5 * math.pi
+    ratio = 1.0
+    rows = [TraceRow(0, beta, 1.0, 0.0, "start", "none", "ok")]
+    cap_candidates = []
+    saw_small_arc = False
+    main_lhs = None
+
+    def fail(i, at_beta, step, status, reason):
+        rows.append(TraceRow(i, at_beta, ratio, 0.0, step.kind, "none", status))
+        return _ref_fail_trace(rows, budget, mode, alpha, f"step {i}: {reason}")
+
+    for i, step in enumerate(schedule.steps, start=1):
+        if not step.eps < 1.0 + cm:
+            raise ScheduleError(
+                f"step {i}: eps={step.eps} must be below 1 + c_minus = {1.0 + cm}"
+            )
+        denom = 1.0 + cm - step.eps
+        delta = step.eps / (cp - cm) if cp > cm else math.inf
+        small_arc = isinstance(step, SmallArcStep)
+        tail = isinstance(step, TailStep)
+        if small_arc:
+            x = 2.0 * (1.0 + step.rho) * alpha / denom
+        else:
+            if not (ratio >= gate or saw_small_arc):
+                raise ScheduleError(
+                    f"step {i}: large-arc step before the mass-ratio gate "
+                    f"{gate:.4f} (ratio is {ratio:.4f} and no small-arc cap is available)"
+                )
+            x = 2.0 * (1.0 + cp + alpha) / (denom * ratio) if math.isfinite(ratio) else 0.0
+        if x > 1.0:
+            return fail(i, beta, step, "infeasible", f"required sine {x:.4f} exceeds 1")
+        beta_new = beta - (_ref_tail_spend(x, delta, paper_proof) if tail
+                           else _ref_spend(x, paper_proof))
+        if beta_new < 0.0:
+            return fail(i, beta_new, step, "below_zero",
+                        "angle budget exhausted" + (" in the tail" if tail else ""))
+        beta = beta_new
+        if tail:
+            main_lhs = 0.5 * math.sin(beta) ** 2
+            rows.append(TraceRow(i, beta, ratio, 0.5, step.kind, "half_n", "ok"))
+            continue
+        ratio = ratio * (1.0 + delta) if math.isfinite(delta) else math.inf
+        if small_arc:
+            cap_candidates.append(step.rho * alpha * math.sin(beta) ** 2)
+            saw_small_arc = True
+        rows.append(TraceRow(i, beta, ratio, 0.0, step.kind,
+                             "alpha_n" if small_arc else "none", "ok"))
+    if main_lhs is None:
+        return _ref_fail_trace(rows, budget, mode, alpha,
+                               "schedule has no tail step, so no absolute mass bound exists")
+    return _ref_final_trace(rows, min([main_lhs] + cap_candidates), budget, mode, alpha)
+
+
+def _ref_auto_proof_run(profile, budget):
+    alpha, cm, cp = profile.alpha, profile.c_minus, profile.c_plus
+    mode = "paper_proof"
+    cond = theorem_condition(profile)
+    rows = [TraceRow(0, 0.5 * math.pi, 1.0, 0.0, "start", "none", "ok")]
+    if alpha > 0.2:
+        return _ref_fail_trace(rows, budget, mode, alpha, f"alpha={alpha} exceeds the 1/5 gate")
+    if alpha == 0.0:
+        return _ref_fail_trace(rows, budget, mode, alpha,
+                               "alpha = 0 leaves no strict margin over the zero budget")
+    c1, c2 = cond.condition1, cond.condition2
+    stage1_frac = max(16.0 * alpha / (1.0 + cm), c2)
+    if c1 >= 1.0 or stage1_frac >= 1.0:
+        return _ref_fail_trace(
+            rows, budget, mode, alpha,
+            f"closed-form condition fails (condition1={c1:.4f}, stage1 fraction={stage1_frac:.4f})",
+        )
+    gate = (1.0 + cp + alpha) / (2.0 * alpha)
+    beta_mid = 0.5 * math.pi - 0.25 * math.pi * stage1_frac
+    beta_final = beta_mid - (math.pi / 16.0) * c1
+    branch_lhs = alpha * math.sin(beta_mid) ** 2
+    main_lhs = 0.5 * math.sin(beta_final) ** 2
+    rows.append(TraceRow(1, beta_mid, gate, 0.0, "stage1", "alpha_n", "ok"))
+    rows.append(TraceRow(2, beta_final, gate, 0.5, "tail", "half_n", "ok"))
+    return _ref_final_trace(rows, min(branch_lhs, main_lhs), budget, mode, alpha)
+
+
+def amplification_reference(profile, schedule=None, mode="numeric", regular_mode=None):
+    """The amplification trace of profile under schedule, or the error it raises."""
+    if mode not in ("numeric", "paper_proof"):
+        raise InputError(f"mode must be 'numeric' or 'paper_proof', got {mode!r}")
+    if schedule is None and mode != "paper_proof":
+        raise InputError("numeric mode needs an explicit schedule")
+    alpha, cm, cp = profile.alpha, profile.c_minus, profile.c_plus
+    if regular_mode is None:
+        regular_mode = alpha > 0.0 and cm == -alpha and cp == alpha
+    start_row = TraceRow(0, 0.5 * math.pi, 1.0, 0.0, "start", "none", "ok")
+    if cm <= -1.0:
+        return _ref_fail_trace([start_row], math.inf, mode, alpha,
+                               "spectral window reaches -1: the graph may be disconnected")
+    try:
+        budget = order_param_bounds(alpha, regular_mode=regular_mode).s_budget
+    except DomainError as exc:
+        return _ref_fail_trace([start_row], math.inf, mode, alpha, str(exc))
+    if schedule is None:
+        return _ref_auto_proof_run(profile, budget)
+    return _ref_schedule_run(profile, schedule, mode, budget)

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kurasync import (
     BracketError,
@@ -37,7 +39,7 @@ from kurasync.certify import TraceRow
 from kurasync.randomgraphs import ErPrediction
 from kurasync.spectral import MixingEntry, MixingReport
 
-from _oracles import sign_scan_roots
+from _oracles import amplification_reference, sign_scan_roots
 
 
 def regular_profile(alpha):
@@ -279,6 +281,20 @@ PINNED_JSON = [
              ("1.202736861855365", "half_n", "0.5", "30881.22689977138", "tail"),
          ]))
      + '], "verdict": "pass"}'),
+    (lambda: amplification_run(regular_profile(0.15), preset_regular_schedule(),
+                               mode="numeric"),
+     '{"alpha": 0.15, "final_check_lhs": 0.0, "final_check_rhs": 0.031514487486668574, '
+     '"mode": "numeric", "reason": "step 3: angle budget exhausted", "rows": ['
+     + ', '.join(
+         f'{{"beta": {beta}, "cap_hit": "{cap}", "k": {k}, "mass_frac": 0.0, '
+         f'"mass_ratio": {ratio}, "status": "{status}", "step_kind": "{kind}"}}'
+         for k, (beta, cap, ratio, status, kind) in enumerate([
+             ("1.5707963267948966", "none", "1.0", "ok", "start"),
+             ("0.8396251136361089", "alpha_n", "1.7666666666666666", "ok", "small_arc"),
+             ("0.10845390047732129", "alpha_n", "3.121111111111111", "ok", "small_arc"),
+             ("-0.6227173126814664", "none", "3.121111111111111", "below_zero", "small_arc"),
+         ]))
+     + '], "verdict": "fail"}'),
     (lambda: ErPrediction(n=100000, gamma=3.0, eps=0.25, p=0.5, d_ref=34.5,
                           alpha_pred=0.25, c_minus_pred=-0.5, c_plus_pred=0.75,
                           c_minus_eps=-0.25, c_plus_eps=0.5, failure_prob_bound=1.0,
@@ -307,6 +323,63 @@ def test_record_json_text_is_pinned(make, text, tmp_path):
         assert path.read_text(encoding="utf-8") == (
             json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n")
         assert type(record).load(path) == record
+
+
+def engine_outcome(run, *args, **kwargs):
+    """The trace's JSON text, or the type and message of what run raised."""
+    try:
+        return json.dumps(run(*args, **kwargs).to_json_dict(), sort_keys=True)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def profiles():
+    # regular windows (alpha, -alpha, alpha) switch on the regular budget
+    # recursion; general windows reach past c_minus = -1
+    alphas = st.one_of(st.sampled_from([0.0, 0.0031, 0.03, 0.0816, 0.15, 0.2, 0.24]),
+                       st.floats(0.0, 0.3))
+    regular = alphas.map(regular_profile)
+    general = st.builds(
+        lambda a, cm, width: ExpanderProfile(n=1, d_ref=1.0, alpha=a, c_minus=cm,
+                                             c_plus=cm + width),
+        alphas, st.floats(-1.2, 0.5), st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    return st.one_of(regular, general)
+
+
+def schedules():
+    eps = st.floats(0.01, 1.0)
+    step = st.one_of(st.builds(SmallArcStep, eps=eps, rho=st.floats(0.01, 2.0)),
+                     st.builds(LargeArcStep, eps=eps))
+    # a tail step is optional, and a large-arc step may come before its gate
+    built = st.builds(lambda body, tail: Schedule(steps=tuple(body) + tail),
+                      st.lists(step, min_size=1, max_size=8),
+                      st.one_of(st.just(()), st.builds(lambda e: (TailStep(eps=e),), eps)))
+    return st.one_of(st.none(), st.just(preset_regular_schedule()), built)
+
+
+@settings(max_examples=400, deadline=None)
+@given(profiles(), schedules(), st.sampled_from(["numeric", "paper_proof"]))
+@example(regular_profile(0.15), preset_regular_schedule(), "numeric")
+@example(regular_profile(0.0816), preset_regular_schedule(), "paper_proof")
+@example(ExpanderProfile(n=1, d_ref=1.0, alpha=0.05, c_minus=-1.2, c_plus=0.05),
+         None, "paper_proof")
+@example(regular_profile(0.05), Schedule(steps=(LargeArcStep(eps=0.1),)), "numeric")
+@example(regular_profile(0.03), Schedule(steps=(SmallArcStep(eps=0.2, rho=0.4),)), "numeric")
+def test_amplification_matches_reference(prof, schedule, mode):
+    assert engine_outcome(amplification_run, prof, schedule, mode=mode) == \
+        engine_outcome(amplification_reference, prof, schedule, mode=mode)
+
+
+@pytest.mark.parametrize("schedule", [preset_regular_schedule(), None])
+def test_amplification_detects_regular_budget(schedule):
+    # max_alpha_regular's profiles (a, -a, a) need the regular budget
+    # recursion: detection picks it for a > 0, and at a = 0 both give 0
+    mode = "numeric" if schedule else "paper_proof"
+    for a in (0.0, 0.001, 0.0031, 0.05, 0.0816, 0.15, 0.21, 0.24, 0.25):
+        prof = regular_profile(a)
+        assert engine_outcome(amplification_run, prof, schedule, mode=mode) == \
+            engine_outcome(amplification_reference, prof, schedule, mode=mode,
+                           regular_mode=True)
 
 
 def test_amplification_preset_trace():
@@ -395,8 +468,25 @@ def test_max_alpha_regular_brackets():
         max_alpha_regular(preset_regular_schedule(), 0.01, 0.05)
     with pytest.raises(InputError):
         max_alpha_regular(None, 0.05, 0.01)
-    with pytest.raises(InputError):
-        max_alpha_regular(None, 0.001, 0.01, tol=0.0)
+    # an infinite tol would return lo, the bracket's end, as the answer
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(InputError, match="tol must be finite and positive"):
+            max_alpha_regular(None, 0.001, 0.01, tol=tol)
+    # both ends must be finite: [lo, inf) would be halved forever
+    for lo, hi in ((0.001, math.inf), (0.001, math.nan), (math.nan, 0.25), (-math.inf, 0.25)):
+        with pytest.raises(InputError, match="lo < hi < inf"):
+            max_alpha_regular(preset_regular_schedule(), lo, hi)
+
+
+def test_max_alpha_regular_tol_below_float_spacing():
+    # once the midpoint rounds to an endpoint the bracket cannot shrink; its
+    # ends are then adjacent floats, the last that passes and the first that fails
+    v = max_alpha_regular(preset_regular_schedule(), 0.05, 0.12, tol=1e-300)
+    assert v == 0.0821733903481278
+    assert amplification_run(regular_profile(v), preset_regular_schedule(),
+                             mode="numeric").verdict == "pass"
+    assert amplification_run(regular_profile(math.nextafter(v, 1.0)), preset_regular_schedule(),
+                             mode="numeric").verdict == "fail"
 
 
 def test_min_ramanujan_degree():

@@ -48,10 +48,10 @@ CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
                   os.environ.get("PYTHONPATH")]))}
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=600):
     return subprocess.run(
         [sys.executable, "-m", "kurasync.cli", *args],
-        capture_output=True, text=True, cwd=cwd, timeout=600, env=CLI_ENV,
+        capture_output=True, text=True, cwd=cwd, timeout=timeout, env=CLI_ENV,
     )
 
 
@@ -292,6 +292,50 @@ def test_threshold_paper_proof_mode():
     assert rep["schedule"] == "auto" and rep["mode"] == "paper-proof"
     assert abs(rep["max_alpha"] - 0.00314453125) < 1e-12
     assert rep["min_ramanujan_degree"] == 404527
+
+
+@pytest.mark.parametrize("mode, expect", [("numeric", 0.0821733903481278),
+                                          ("paper-proof", 0.003146369517493246)])
+def test_threshold_tol_below_float_spacing_ends(mode, expect):
+    # no float lies strictly inside a bracket narrower than its spacing, so
+    # the bisection stops once the midpoint rounds to an endpoint
+    proc = run_cli("threshold", "--mode", mode, "--tol", "1e-300", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert report_from(proc)["max_alpha"] == expect
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--hi", "inf"], "need 0 <= lo < hi < inf"),
+    (["--hi", "nan"], "need 0 <= lo < hi < inf"),
+    (["--lo", "nan"], "need 0 <= lo < hi < inf"),
+    (["--lo=-inf"], "need 0 <= lo < hi < inf"),
+    (["--tol", "inf"], "tol must be finite and positive"),
+])
+def test_threshold_rejects_non_finite_bracket(args, message):
+    proc = run_cli("threshold", *args, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {message}"), proc.stderr
+
+
+def test_unbounded_tolerance_exits_2(tmp_path):
+    # a tolerance or reference degree that is not a finite bound is an input
+    # error, never a pass resting on an infinite allowance
+    prof = tmp_path / "profile.json"
+    prof.write_text(json.dumps({"n": 5, "d_ref": 2.0, "alpha": 0.1, "c_minus": -0.1,
+                                "c_plus": 0.1, "tol": float("inf")}), encoding="utf-8")
+    for args, named in [
+        (["profile", "--gen", "regular:300,10", "--seed", "0", "--tol", "inf",
+          "--trials", "5"], "tol must be finite and positive, got inf"),
+        (["profile", "--gen", "cycle:20", "--d-ref", "inf"],
+         "d_ref must be finite and positive, got inf"),
+        (["profile", "--gen", "cycle:20", "--tol", "nan"], "tol must be finite"),
+        (["certify", "--gen", "cycle:20", "--tol", "inf"], "tol must be finite"),
+        (["certify", "--profile", str(prof)], "profile field tol is not finite: inf"),
+    ]:
+        proc = run_cli(*args, timeout=60)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert proc.stderr.startswith("error:") and named in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_threshold_rejects_schedule_in_paper_proof_mode(tmp_path):

@@ -63,6 +63,17 @@ def test_alpha_matches_dense_oracle():
         assert abs(centered_adjacency_alpha(g, d) - dense_alpha(g, d)) < 2 * TOL
 
 
+@pytest.mark.parametrize("measure", [centered_adjacency_alpha, centered_laplacian_extremes])
+def test_eigen_scale_must_be_finite_and_positive(measure):
+    # d_ref and tol set the eigensolver's stopping residual tol * d_ref
+    g = gen_named("cycle", 20)
+    for d_ref, tol in ((math.inf, TOL), (math.nan, TOL), (0.0, TOL), (2.0, math.inf),
+                       (2.0, math.nan), (2.0, 0.0)):
+        name = "d_ref" if d_ref != 2.0 else "tol"
+        with pytest.raises(InputError, match=f"{name} must be finite and positive"):
+            measure(g, d_ref, tol)
+
+
 def test_laplacian_window_matches_dense_oracle():
     for g in battery():
         d = 2.0 * g.m / g.n
@@ -163,6 +174,12 @@ def test_profile_validation_errors():
     ):
         with pytest.raises(InputError):
             ExpanderProfile(**bad)
+    # every float field is finite; a NaN fails every comparison above, so
+    # finiteness is its own check
+    for name in ("d_ref", "alpha", "c_minus", "c_plus", "tol"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InputError, match=f"profile field {name} is not finite"):
+                ExpanderProfile(**dict(ok, **{name: value}))
 
 
 def test_profile_json_round_trip(tmp_path):
