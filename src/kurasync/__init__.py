@@ -35,27 +35,20 @@ from .spectral import (
     centered_laplacian_extremes,
     check_mixing_bounds,
     degree_bounds_from_profile,
-    degree_implies_profile,
     expander_profile,
 )
 from .dynamics import (
     EquilibriumReport,
     FlowBatch,
     FlowResult,
-    arc_set,
     classify_equilibrium,
     daido,
     energy,
     flow,
     flow_batch,
     gradient,
-    half_circle_check,
     hessian,
-    kernel_K,
-    kernel_stability_violations,
     random_phases,
-    rotate_to_real_rho1,
-    s_func,
     wrap_phases,
 )
 from .certify import (
@@ -67,25 +60,17 @@ from .certify import (
     SmallArcStep,
     TailStep,
     amplification_run,
-    cubic_root_a,
     max_alpha_regular,
     min_ramanujan_degree,
     order_param_bounds,
-    order_param_validity_limit,
     preset_regular_schedule,
     theorem_condition,
 )
 from .randomgraphs import (
     ErPrediction,
-    binom_tail_ratio_check,
-    chernoff_degree_bound,
-    concentration_tail,
-    concentration_tail_gamma,
     er_failure_probability,
     er_prediction,
     gamma_roots,
     gamma_roots_eps,
     h_func,
-    symmetrization_factor,
-    symmetrization_norm_bound,
 )

@@ -21,7 +21,6 @@ the telescoping mass sum.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,9 +29,7 @@ from .spectral import ExpanderProfile, json_number, read_json, record_json, writ
 
 __all__ = [
     "OrderParamBounds",
-    "cubic_root_a",
     "order_param_bounds",
-    "order_param_validity_limit",
     "CertResult",
     "theorem_condition",
     "SmallArcStep",
@@ -47,9 +44,7 @@ __all__ = [
     "min_ramanujan_degree",
 ]
 
-CUBIC_ALPHA_SUP = 0.2055  # cubic discriminant is negative strictly below this
 GENERAL_ALPHA_SUP = 0.2
-ROOT_TOL = 1e-12
 FIXED_POINT_TOL = 1e-14
 FIXED_POINT_MAX_ITERS = 10 ** 6
 
@@ -67,28 +62,6 @@ def _bisect(inside, lo, hi, tol):
         else:
             hi = mid
     return lo, hi
-
-
-def cubic_root_a(alpha):
-    """Unique real root of a^3 + (2a-1)... the order-parameter cubic.
-
-    Solves a**3 + (2*alpha - 1)*a**2 + 2*alpha**2*a - 2*alpha**4 = 0 by
-    bisection on [2*alpha**4, 1] to absolute tolerance 1e-12. The root is
-    the fixed point of the general-mode recursion and decreases in alpha.
-    """
-    if not (0.0 < alpha < CUBIC_ALPHA_SUP):
-        raise DomainError(
-            f"cubic has a unique real root only for alpha in (0, {CUBIC_ALPHA_SUP}), got {alpha}"
-        )
-
-    def p(a):
-        return a ** 3 + (2.0 * alpha - 1.0) * a ** 2 + 2.0 * alpha ** 2 * a - 2.0 * alpha ** 4
-
-    lo, hi = 2.0 * alpha ** 4, 1.0
-    if p(lo) >= 0.0 or p(hi) <= 0.0:  # cannot happen in the gated domain
-        raise DomainError(f"root bracket [2*alpha^4, 1] is invalid at alpha={alpha}")
-    lo, hi = _bisect(lambda a: p(a) < 0.0, lo, hi, ROOT_TOL)
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -143,8 +116,8 @@ def order_param_bounds(alpha, regular_mode=False):
     against a spurious low fixed point or stops being monotone; both raise
     DomainError, as does a limit below the linear bound 1 - 3*alpha.
     """
-    if alpha < 0.0:
-        raise InputError(f"alpha must be nonnegative, got {alpha}")
+    if not 0.0 <= alpha < math.inf:
+        raise InputError(f"alpha must be finite and nonnegative, got {alpha}")
     if not regular_mode and alpha > GENERAL_ALPHA_SUP + 1e-12:
         raise DomainError(
             f"general mode requires alpha <= {GENERAL_ALPHA_SUP}, got {alpha}"
@@ -160,26 +133,6 @@ def order_param_bounds(alpha, regular_mode=False):
         a=a, b=b, s_budget=s_budget, alpha=alpha,
         regular_mode=bool(regular_mode), iterations=iters,
     )
-
-
-@functools.cache
-def order_param_validity_limit(regular_mode=True, tol=1e-9):
-    """Largest alpha (to tol) where order_param_bounds still succeeds.
-
-    Recomputed by bisection on the recursion itself rather than hard-coded,
-    so a change to the recursion moves the limit with it.
-    """
-    def ok(x):
-        try:
-            a, _, _ = _fixed_point(x, regular_mode)
-        except DomainError:
-            return False
-        return a >= 1.0 - 3.0 * x - 1e-12
-
-    lo, hi = 0.15, 0.30
-    if not ok(lo) or ok(hi):
-        raise BracketError("validity-limit bracket [0.15, 0.30] is invalid")
-    return _bisect(ok, lo, hi, tol)[0]
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -226,16 +227,24 @@ def _parse_gen_spec(spec, seed):
         parts = rest.split(",")
         if len(parts) != 2:
             raise InputError(f"er spec must be er:N,P, got {spec!r}")
+        try:
+            n, p = int(parts[0]), float(parts[1])
+        except ValueError:
+            raise InputError(f"er spec needs an integer N and a number P, got {spec!r}") from None
         if seed is None:
             raise InputError("--seed is required for er generation")
-        return gen_erdos_renyi(int(parts[0]), float(parts[1]), seed)
+        return gen_erdos_renyi(n, p, seed)
     if name == "regular":
         parts = rest.split(",")
         if len(parts) != 2:
             raise InputError(f"regular spec must be regular:N,D, got {spec!r}")
+        try:
+            n, d = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputError(f"regular spec needs integers N and D, got {spec!r}") from None
         if seed is None:
             raise InputError("--seed is required for regular generation")
-        return gen_random_regular(int(parts[0]), int(parts[1]), seed)
+        return gen_random_regular(n, d, seed)
     raise InputError(f"unknown generator {name!r}")
 
 
@@ -403,6 +412,8 @@ def _cmd_er_predict(cfg):
 
 def _sweep_gamma_roots(cfg):
     lo, hi = cfg.get("lo", 1.001), cfg.get("hi", 10.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InputError(f"--lo and --hi must be finite, got lo={lo}, hi={hi}")
     points = _count(cfg, "points", 50, 1)
     rows = [(float(gamma), *gamma_roots(float(gamma))) for gamma in np.geomspace(lo, hi, points)]
     report = {

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import ConsistencyError, InputError
+from .errors import InputError
 from .spectral import _extreme_eigenpair, write_csv
 
 __all__ = [
@@ -23,12 +23,6 @@ __all__ = [
     "gradient",
     "hessian",
     "daido",
-    "rotate_to_real_rho1",
-    "kernel_K",
-    "kernel_stability_violations",
-    "s_func",
-    "arc_set",
-    "half_circle_check",
     "flow",
     "flow_batch",
     "classify_equilibrium",
@@ -169,78 +163,6 @@ def daido(theta, k=1):
     return complex(np.mean(np.exp(1j * k * theta)))
 
 
-def rotate_to_real_rho1(theta):
-    """Shift by a global constant so rho_1 is real and nonnegative.
-
-    A state with rho_1 = 0 is returned unchanged (no preferred frame).
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    r = np.mean(np.exp(1j * theta))
-    if abs(r) < 1e-15:
-        return theta.copy()
-    return wrap_phases(theta - np.angle(r))
-
-
-def kernel_K(a, b):
-    """sin(|a| - min(|b|, pi/2)); equals -cos(a) once |b| >= pi/2."""
-    return float(np.sin(abs(a) - min(abs(b), np.pi / 2)))
-
-
-def kernel_stability_violations(g, theta, tol_per_degree=1e-9):
-    """Vertices y where sum_x A[x,y] K(theta_x, theta_y) < -tol*deg(y).
-
-    The state must be pre-rotated (rho_1 real, nonnegative); every true
-    stable state then yields an empty list. Returns (vertex, deficit) pairs.
-    """
-    theta = _check_state(g, theta)
-    A = g.adjacency()
-    # K(a, b) expands to sin|a| cos(m_b) - cos|a| sin(m_b), m_b = min(|b|, pi/2),
-    # so both matvecs are shared across all y
-    m = np.minimum(np.abs(theta), np.pi / 2)
-    s_abs = A @ np.sin(np.abs(theta))
-    c_abs = A @ np.cos(np.abs(theta))
-    sums = np.cos(m) * s_abs - np.sin(m) * c_abs
-    degs = g.degrees
-    out = []
-    for y in np.nonzero(sums < -tol_per_degree * np.maximum(degs, 1))[0]:
-        out.append((int(y), float(sums[y])))
-    return out
-
-
-def s_func(a):
-    """sin^2(a) on |a| <= pi/2, then the plateau value 1."""
-    a = np.abs(np.asarray(a, dtype=np.float64))
-    out = np.where(a <= np.pi / 2, np.sin(a) ** 2, 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def arc_set(theta, psi):
-    """Vertices with cos(theta_x) <= cos(psi), i.e. |theta_x| >= psi."""
-    if not (0.0 <= psi <= np.pi):
-        raise InputError(f"arc angle must lie in [0, pi], got {psi}")
-    theta = np.asarray(theta, dtype=np.float64)
-    return np.nonzero(np.abs(theta) >= psi)[0]
-
-
-def half_circle_check(g, theta):
-    """True iff the state lies in the open half circle |theta| < pi/2.
-
-    Preconditions (caller's contract): pre-rotated, classified stable, and
-    g connected. When true the half-circle lemma forces the synchronized
-    state, so max |theta| < 1e-6 is asserted; a violation means the state
-    was misclassified or the flow is buggy and raises ConsistencyError.
-    """
-    theta = _check_state(g, theta)
-    if len(arc_set(theta, np.pi / 2)) > 0:
-        return False
-    spread = float(np.max(np.abs(theta))) if g.n else 0.0
-    if spread >= 1e-6:
-        raise ConsistencyError(
-            f"stable state confined to a half circle has phase spread {spread:.3e}"
-        )
-    return True
-
-
 @dataclass
 class FlowResult:
     final: np.ndarray
@@ -270,7 +192,7 @@ class FlowBatch:
 _EXITS = np.array(["converged", "step_cap", "stalled"])
 
 
-def _integrate(g, theta, grad_tol, step_cap, dt_init, out, first, path=None):
+def _integrate(g, theta, grad_tol, step_cap, out, first, path=None):
     """Flow each row of the (R, n) block theta; write its finals to row
     first + i of out.
 
@@ -290,7 +212,7 @@ def _integrate(g, theta, grad_tol, step_cap, dt_init, out, first, path=None):
     steps = np.zeros(len(theta), dtype=np.int64)
     # an edgeless graph has zero gradient, so no row takes a step
     dt_cap = 1.0 / (2.0 * max(int(g.degrees.max()), 1))
-    dt = np.full(len(theta), min(dt_init if dt_init is not None else 0.5 * dt_cap, dt_cap))
+    dt = np.full(len(theta), 0.5 * dt_cap)
     stalled = np.zeros(len(theta), dtype=bool)
     if path is not None:
         path.append((t[0], ene[0], gn[0], rho1[0]))
@@ -335,21 +257,21 @@ def _integrate(g, theta, grad_tol, step_cap, dt_init, out, first, path=None):
                 path.append((t[0], ene[0], gn[0], rho1[0]))
 
 
-def _flow_rows(g, thetas, grad_tol, step_cap, dt_init, path=None):
+def _flow_rows(g, thetas, grad_tol, step_cap, path=None):
     """flow_batch's finals of a checked (R, n) block, one memory-bounded
     block of rows after another; path goes to _integrate."""
-    if not grad_tol > 0:
-        raise InputError(f"grad_tol must be positive, got {grad_tol}")
+    if not 0.0 < grad_tol < np.inf:
+        raise InputError(f"grad_tol must be finite and positive, got {grad_tol}")
     r = len(thetas)
     out = FlowBatch(np.empty_like(thetas), np.zeros(r, dtype=np.int64),
                     np.empty(r, dtype=_EXITS.dtype), np.empty(r), np.empty(r), np.empty(r))
     size = max(1, _FLOW_BLOCK // (g.n + g.m))
     for first in range(0, r, size):
-        _integrate(g, thetas[first:first + size], grad_tol, step_cap, dt_init, out, first, path)
+        _integrate(g, thetas[first:first + size], grad_tol, step_cap, out, first, path)
     return out
 
 
-def flow_batch(g, thetas, grad_tol=GRAD_TOL, step_cap=STEP_CAP, dt_init=None):
+def flow_batch(g, thetas, grad_tol=GRAD_TOL, step_cap=STEP_CAP):
     """flow from each row of the (R, n) block thetas, all rows at once.
 
     Row i of the result holds bitwise the final fields of flow(g,
@@ -367,20 +289,21 @@ def flow_batch(g, thetas, grad_tol=GRAD_TOL, step_cap=STEP_CAP, dt_init=None):
     together, so a run count never multiplies the O(m) memory of one
     flow's energy terms. The caller's thetas are never modified.
     """
-    return _flow_rows(g, _check_block(g, thetas), grad_tol, step_cap, dt_init)
+    return _flow_rows(g, _check_block(g, thetas), grad_tol, step_cap)
 
 
-def flow(g, theta0, grad_tol=GRAD_TOL, step_cap=STEP_CAP, dt_init=None):
+def flow(g, theta0, grad_tol=GRAD_TOL, step_cap=STEP_CAP):
     """Integrate d(theta)/dt = -grad E with adaptive explicit Euler.
 
     A step is accepted only if the energy does not increase; the step size
-    halves on rejection, grows by 1.2 on acceptance, and never exceeds
-    1/(2*d_max), the stability ceiling of the explicit scheme. Terminates
-    converged when the sup norm of the gradient drops below grad_tol,
-    step_cap after that many accepted steps, or stalled if the step
-    underflows (no representable phase change can lower the energy; this
-    is the generic exit near minima with positive energy, where the
-    descent per step falls below the energy ulp before grad_tol is met).
+    starts at 1/(4*d_max), halves on rejection, grows by 1.2 on acceptance,
+    and never exceeds 1/(2*d_max), the stability ceiling of the explicit
+    scheme. Terminates converged when the sup norm of the gradient drops
+    below grad_tol, step_cap after that many accepted steps, or stalled if
+    the step underflows (no representable phase change can lower the
+    energy; this is the generic exit near minima with positive energy,
+    where the descent per step falls below the energy ulp before grad_tol
+    is met).
 
     This is flow_batch's integrator on a block of one row, the only row
     whose trajectory it records. Each trial state costs one energy call;
@@ -391,7 +314,7 @@ def flow(g, theta0, grad_tol=GRAD_TOL, step_cap=STEP_CAP, dt_init=None):
     exp(i*theta) twice per accepted state and ran one state at a time.
     """
     path = []
-    out = _flow_rows(g, _check_state(g, theta0)[None], grad_tol, step_cap, dt_init, path)
+    out = _flow_rows(g, _check_state(g, theta0)[None], grad_tol, step_cap, path)
     times, energies, grad_norms, rho1s = (np.asarray(col) for col in zip(*path))
     return FlowResult(
         final=out.final[0], steps=int(out.steps[0]), terminated=str(out.terminated[0]),
@@ -460,13 +383,13 @@ def _restricted_min_eig(g, theta, tol):
     return _min_eig_off_ones(diag, W, s, tol)
 
 
-def classify_equilibrium(g, theta, grad_tol=GRAD_TOL, eig_tol=None):
+def classify_equilibrium(g, theta, grad_tol=GRAD_TOL):
     """Classify a state from its gradient norm and restricted Hessian.
 
     not_equilibrium if the sup-norm gradient is at least grad_tol. Otherwise
     stable, strict_saddle or degenerate according to the sign of the minimum
     Hessian eigenvalue on the subspace orthogonal to the all-ones vector,
-    against the threshold eig_tol (default 1e-8 * d_max). Degenerate is
+    against the threshold eig_tol = 1e-8 * max(d_max, 1). Degenerate is
     surfaced as its own class; third-order saddles exist and coercing them
     either way would be wrong.
 
@@ -478,13 +401,10 @@ def classify_equilibrium(g, theta, grad_tol=GRAD_TOL, eig_tol=None):
     an eigenvalue of the restricted Hessian, or NumericalError is raised.
     Smaller states take an exact dense eigensolve.
     """
-    if not grad_tol > 0:
-        raise InputError(f"grad_tol must be positive, got {grad_tol}")
+    if not 0.0 < grad_tol < np.inf:
+        raise InputError(f"grad_tol must be finite and positive, got {grad_tol}")
     theta = _check_state(g, theta)
-    if eig_tol is None:
-        eig_tol = 1e-8 * max(int(g.degrees.max()) if g.n else 1, 1)
-    if not eig_tol > 0:
-        raise InputError(f"eig_tol must be positive, got {eig_tol}")
+    eig_tol = 1e-8 * max(int(g.degrees.max()) if g.n else 1, 1)
     gn = float(np.max(np.abs(gradient(g, theta)))) if g.n else 0.0
     min_eig = _restricted_min_eig(g, theta, eig_tol / 10.0)
     if gn >= grad_tol:

@@ -23,25 +23,10 @@ __all__ = [
     "ErPrediction",
     "er_prediction",
     "er_failure_probability",
-    "chernoff_degree_bound",
-    "binom_tail_ratio_check",
-    "symmetrization_factor",
-    "symmetrization_norm_bound",
-    "SYMMETRIZATION_MILESTONES",
-    "concentration_tail",
-    "concentration_tail_gamma",
 ]
 
 VACUOUS_VERDICT = "prediction only — certificate vacuous at this n"
 CERTIFIABLE_VERDICT = "prediction within certifiable range"
-
-# (alpha_param, n, bound on the symmetrization factor at that point)
-SYMMETRIZATION_MILESTONES = (
-    (2.0, 4, 7.91),
-    (3.0, 120, 4.98),
-    (5.0, 880, 3.994),
-    (25.0, 450000, 2.996),
-)
 
 _ROOT_XTOL = 1e-13
 # scipy.optimize.brentq's defaults: its rtol floor, 4 * machine epsilon, and
@@ -244,113 +229,3 @@ def er_prediction(n, gamma, eps):
         failure_prob_bound=er_failure_probability(n, gamma, eps),
         verdict=verdict,
     )
-
-
-def chernoff_degree_bound(n, gamma, eps):
-    """Union bound 2 * n^(1 - eps^2 * gamma / 3) on any degree deviating
-    from pn by a factor eps, clamped to 1."""
-    if not n >= 1:
-        raise InputError(f"need n >= 1, got {n}")
-    if not (eps > 0.0 and gamma > 0.0):
-        raise InputError(f"need eps > 0 and gamma > 0, got eps={eps}, gamma={gamma}")
-    return min(1.0, 2.0 * n ** (1.0 - eps * eps * gamma / 3.0))
-
-
-def binom_tail_ratio_check(n, p, k, c, side):
-    """Tail-to-point mass ratio of Bin(n-1, p) against its closed-form bound.
-
-    side 'below' compares P(X <= k)/P(X = k) with 1/c^2 under the
-    hypotheses 0 < c < 1, p <= c/(1 - c^2), k <= (1-c)pn; side 'above'
-    compares P(X >= k)/P(X = k) with 1 + 1/c under c > 0, k >= (1+c)pn.
-    Sums run in log space relative to the point mass, so no underflow.
-    Returns (bound, exact_ratio).
-    """
-    if side not in ("below", "above"):
-        raise InputError(f"side must be 'below' or 'above', got {side!r}")
-    if not (isinstance(n, int) and n >= 2):
-        raise InputError(f"need integer n >= 2, got {n!r}")
-    if not (0.0 < p < 1.0):
-        raise InputError(f"need 0 < p < 1, got {p}")
-    if not (isinstance(k, int) and 0 <= k <= n - 1):
-        raise InputError(f"need integer k in [0, {n - 1}], got {k!r}")
-    if side == "below":
-        if not (0.0 < c < 1.0):
-            raise DomainError(f"side 'below' needs 0 < c < 1, got {c}")
-        if p > c / (1.0 - c * c):
-            raise DomainError(f"p={p} exceeds c/(1 - c^2) = {c / (1.0 - c * c):.6f}")
-        if k > (1.0 - c) * p * n:
-            raise DomainError(f"k={k} exceeds (1 - c)pn = {(1.0 - c) * p * n:.6f}")
-        bound = 1.0 / (c * c)
-        js = range(0, k + 1)
-    else:
-        if not c > 0.0:
-            raise DomainError(f"side 'above' needs c > 0, got {c}")
-        if k < (1.0 + c) * p * n:
-            raise DomainError(f"k={k} is below (1 + c)pn = {(1.0 + c) * p * n:.6f}")
-        bound = 1.0 + 1.0 / c
-        js = range(k, n)
-
-    m = n - 1
-    log_p, log_q = math.log(p), math.log(1.0 - p)
-
-    def log_pmf(j):
-        return (
-            math.lgamma(m + 1) - math.lgamma(j + 1) - math.lgamma(m - j + 1)
-            + j * log_p + (m - j) * log_q
-        )
-
-    anchor = log_pmf(k)
-    ratio = math.fsum(math.exp(log_pmf(j) - anchor) for j in js)
-    return bound, ratio
-
-
-def symmetrization_factor(alpha_param, n):
-    """f(alpha, n) = 2*sqrt(2)*exp(1/(2*alpha))*(1 + sqrt(2*alpha*log n/n))."""
-    if not alpha_param > 0.0:
-        raise InputError(f"alpha_param must be positive, got {alpha_param}")
-    if not n >= 3:
-        raise InputError(f"need n >= 3, got {n}")
-    return (
-        2.0 * math.sqrt(2.0) * math.exp(0.5 / alpha_param)
-        * (1.0 + math.sqrt(2.0 * alpha_param * math.log(n) / n))
-    )
-
-
-def symmetrization_norm_bound(n, p, alpha_param=25.0):
-    """Upper bound f(alpha_param, n) * sqrt(n p (1-p)) on the expected
-    operator norm of the centered adjacency matrix of G(n, p).
-
-    alpha_param is the free moment parameter of the trace argument; 25 is
-    the best tabulated row and fine for all but tiny n.
-    """
-    if not (0.0 < p < 1.0):
-        raise InputError(f"need 0 < p < 1, got {p}")
-    return symmetrization_factor(alpha_param, n) * math.sqrt(n * p * (1.0 - p))
-
-
-def concentration_tail(n, p, t):
-    """Threshold and tail of the norm concentration estimate.
-
-    Returns (4*sqrt(p(1-p)n) + t, min(1, 2*exp(-t^2/4))): the probability
-    that the centered adjacency norm exceeds the threshold is at most the
-    tail. Stated for n >= 1000.
-    """
-    if n < 1000:
-        raise DomainError(f"concentration estimate is stated for n >= 1000, got {n}")
-    if not (0.0 <= p <= 1.0):
-        raise InputError(f"need p in [0, 1], got {p}")
-    if not t > 0.0:
-        raise InputError(f"need t > 0, got {t}")
-    threshold = 4.0 * math.sqrt(p * (1.0 - p) * n) + t
-    return threshold, min(1.0, 2.0 * math.exp(-t * t / 4.0))
-
-
-def concentration_tail_gamma(n, gamma):
-    """Specialization at p = gamma*log n/n, t = 2*sqrt(gamma*log n):
-    threshold at most 6*sqrt(gamma*log n), tail 2*n^-gamma."""
-    if not gamma > 0.0:
-        raise InputError(f"need gamma > 0, got {gamma}")
-    if n < 1000:
-        raise DomainError(f"concentration estimate is stated for n >= 1000, got {n}")
-    glog = gamma * math.log(n)
-    return 6.0 * math.sqrt(glog), min(1.0, 2.0 * n ** (-gamma))

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import InputError, NumericalError
-from .graphs import degree_extrema, edges_between
+from .graphs import edges_between
 
 __all__ = [
     "ExpanderProfile",
@@ -28,7 +28,6 @@ __all__ = [
     "centered_adjacency_alpha",
     "centered_laplacian_extremes",
     "expander_profile",
-    "degree_implies_profile",
     "degree_bounds_from_profile",
     "check_mixing_bounds",
 ]
@@ -272,20 +271,6 @@ def expander_profile(g, d_ref=None, tol=DEFAULT_TOL):
         n=g.n, d_ref=float(d_ref), alpha=alpha, c_minus=c_minus,
         c_plus=c_plus, tol=tol, source="measured",
     )
-
-
-def degree_implies_profile(d_min, d_max, alpha, d_ref):
-    """Smallest (c_minus, c_plus) box certified by degree extrema plus alpha.
-
-    Reads the degree-to-sandwich implication in reverse: a graph with
-    ||Delta_A|| <= alpha*d_ref and degrees in [d_min, d_max] is an expander
-    with c_minus = d_min/d_ref - 1 - alpha and c_plus = d_max/d_ref - 1 + alpha.
-    """
-    if not d_ref > 0:
-        raise InputError(f"d_ref must be positive, got {d_ref}")
-    if d_min > d_max:
-        raise InputError(f"d_min {d_min} exceeds d_max {d_max}")
-    return d_min / d_ref - 1.0 - alpha, d_max / d_ref - 1.0 + alpha
 
 
 def degree_bounds_from_profile(profile):

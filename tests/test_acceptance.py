@@ -21,12 +21,10 @@ import pytest
 
 from kurasync import (
     amplification_run,
-    binom_tail_ratio_check,
     centered_adjacency_alpha,
     centered_laplacian_extremes,
     check_mixing_bounds,
     classify_equilibrium,
-    cubic_root_a,
     daido,
     energy,
     expander_profile,
@@ -38,20 +36,24 @@ from kurasync import (
     gradient,
     h_func,
     hessian,
-    kernel_stability_violations,
     max_alpha_regular,
     min_ramanujan_degree,
     order_param_bounds,
     preset_regular_schedule,
     random_phases,
-    rotate_to_real_rho1,
-    symmetrization_factor,
     theorem_condition,
 )
 from kurasync.spectral import ExpanderProfile
 
 import dataclasses
 
+from _lemmas import (
+    binom_tail_ratio_check,
+    cubic_root_a,
+    kernel_stability_violations,
+    rotate_to_real_rho1,
+    symmetrization_factor,
+)
 from _oracles import dense_alpha, dense_laplacian_extremes, fd_gradient, fd_jacobian
 from test_cli import CLI_ENV
 

@@ -7,6 +7,7 @@ replay is pinned to hand-verified trace values at alpha = 0.0816.
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,20 +26,20 @@ from kurasync import (
     SmallArcStep,
     TailStep,
     amplification_run,
-    cubic_root_a,
     expander_profile,
     gen_named,
     max_alpha_regular,
     min_ramanujan_degree,
     order_param_bounds,
-    order_param_validity_limit,
     preset_regular_schedule,
     theorem_condition,
 )
+from kurasync import certify
 from kurasync.certify import TraceRow
 from kurasync.randomgraphs import ErPrediction
 from kurasync.spectral import MixingEntry, MixingReport
 
+from _lemmas import cubic_root_a, order_param_validity_limit
 from _oracles import amplification_reference, sign_scan_roots
 
 
@@ -117,6 +118,13 @@ def test_order_param_bounds_domain():
         order_param_bounds(0.21)  # general-mode gate at 0.2
     with pytest.raises(DomainError):
         order_param_bounds(0.26, regular_mode=True)
+    # a non-finite alpha is rejected before the recursion runs, where NaN
+    # used to spend all FIXED_POINT_MAX_ITERS iterations
+    with mock.patch.object(certify, "_fixed_point", side_effect=AssertionError):
+        for alpha in (math.nan, math.inf, -math.inf):
+            for regular in (False, True):
+                with pytest.raises(InputError, match="finite and nonnegative"):
+                    order_param_bounds(alpha, regular_mode=regular)
 
 
 def test_validity_limits():

@@ -331,6 +331,12 @@ def test_unbounded_tolerance_exits_2(tmp_path):
         (["profile", "--gen", "cycle:20", "--tol", "nan"], "tol must be finite"),
         (["certify", "--gen", "cycle:20", "--tol", "inf"], "tol must be finite"),
         (["certify", "--profile", str(prof)], "profile field tol is not finite: inf"),
+        (["simulate", "--gen", "cycle:5", "--seed", "0", "--tol", "inf", "--classify"],
+         "grad_tol must be finite and positive, got inf"),
+        (["sweep", "--kind", "gamma-roots", "--points", "3", "--lo", "2", "--hi", "inf"],
+         "--lo and --hi must be finite"),
+        (["sweep", "--kind", "gamma-roots", "--points", "3", "--lo", "nan"],
+         "--lo and --hi must be finite"),
     ]:
         proc = run_cli(*args, timeout=60)
         assert proc.returncode == 2, (args, proc.stderr)
@@ -676,6 +682,12 @@ def test_usage_errors_exit_2(tmp_path):
     assert run_cli("generate", "--gen", "er:10").returncode == 2  # malformed spec
     assert run_cli("generate", "--gen", "er:10,0.5").returncode == 2  # missing seed
     assert run_cli("generate", "--gen", "moebius:10").returncode == 2
+    # a number that does not parse names the spec, without a traceback
+    for spec in ("er:10,abc", "er:abc,0.5", "regular:10,x"):
+        proc = run_cli("generate", "--gen", spec, "--seed", "0")
+        assert proc.returncode == 2, spec
+        assert proc.stderr.startswith("error:") and repr(spec) in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr
     g = tmp_path / "g.txt"
     g.write_text("2 1\n0 1\n", encoding="utf-8")
     assert run_cli("generate", "--graph", str(g), "--gen", "cycle:5").returncode == 2

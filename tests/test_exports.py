@@ -1,0 +1,68 @@
+"""The package defines no public function or class that it does not use.
+
+A helper that only tests call belongs in the tests (see tests/_lemmas.py),
+so every public module-level function and class in src/kurasync must be
+named by some code of the package outside its own definition. The
+re-exports of kurasync/__init__.py do not count as a use.
+"""
+
+import ast
+from pathlib import Path
+
+import kurasync
+
+SRC = Path(kurasync.__file__).parent
+
+# public names that nothing in the package calls, each kept for a reason
+UNUSED_OK = {
+    # bench/tracer.py wraps dynamics.hessian to time dense Hessian builds
+    "hessian",
+    # the in-process entry point that tests and the benchmark call
+    "run",
+    # the console script named in pyproject.toml
+    "main",
+    # the argument parser behind run, the CLI's third public entry point
+    "build_parser",
+}
+
+
+def _modules():
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+            for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+
+
+def _public_definitions(modules):
+    """(module, name, node) for each public top-level function and class."""
+    return [(mod, node.name, node) for mod, tree in modules.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _uses(tree, skip):
+    """Every name a Name or Attribute node of tree reads, outside skip."""
+    inside = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_definition_is_used_by_the_package():
+    modules = _modules()
+    defs = _public_definitions(modules)
+    used = {mod: _uses(tree, None) for mod, tree in modules.items()}
+    unused = []
+    for mod, name, node in defs:
+        if name in UNUSED_OK:
+            continue
+        if name not in _uses(modules[mod], node) and not any(
+                name in names for other, names in used.items() if other != mod):
+            unused.append(f"{mod}.{name}")
+    assert unused == [], f"public but used by nothing in the package: {unused}"
+    # the allowlist names only definitions that exist
+    assert UNUSED_OK <= {name for _, name, _ in defs}

@@ -19,27 +19,29 @@ from kurasync import (
     DomainError,
     InputError,
     NumericalError,
-    binom_tail_ratio_check,
-    chernoff_degree_bound,
-    concentration_tail,
-    concentration_tail_gamma,
     er_failure_probability,
     er_prediction,
     gamma_roots,
     gamma_roots_eps,
     gen_erdos_renyi,
     h_func,
-    symmetrization_factor,
-    symmetrization_norm_bound,
 )
 from kurasync import randomgraphs
 from kurasync.randomgraphs import (
     CERTIFIABLE_VERDICT,
-    SYMMETRIZATION_MILESTONES,
     VACUOUS_VERDICT,
     _brent,
 )
 
+from _lemmas import (
+    SYMMETRIZATION_MILESTONES,
+    binom_tail_ratio_check,
+    chernoff_degree_bound,
+    concentration_tail,
+    concentration_tail_gamma,
+    symmetrization_factor,
+    symmetrization_norm_bound,
+)
 from _oracles import centered_norm_floor, er_degree_sequence, exact_binom_ratio
 
 

@@ -26,13 +26,13 @@ from kurasync import (
     centered_laplacian_extremes,
     check_mixing_bounds,
     degree_bounds_from_profile,
-    degree_implies_profile,
     expander_profile,
     gen_erdos_renyi,
     gen_named,
     gen_random_regular,
 )
 
+from _lemmas import degree_implies_profile
 from _oracles import (
     candidate_battery_reference,
     dense_adjacency,
