@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -162,24 +164,41 @@ def gen_named(family, n):
     raise InputError(f"unknown graph family {family!r}")
 
 
-# uniforms per draw in gen_erdos_renyi, 512 KiB per block. The stream is
-# the same at any block size; on a graph of few pairs (C(1000, 2) is eight
-# blocks) the block is most of the sampler's memory
-_ER_BLOCK = 1 << 16
+# uniforms per block in gen_erdos_renyi, 128 KiB plus a 16 KiB mask. The
+# stream is the same at any block size; on a graph of few pairs the block
+# is most of the sampler's memory
+_ER_BLOCK = 1 << 14
 # gen_erdos_renyi's edge buffer holds the expected edge count plus this
 # many times its square root (at least that many standard deviations)
 # before it has to grow
 _ER_SIGMAS = 6.0
+# from this many pairs on, gen_erdos_renyi draws the second half of the
+# stream on a worker thread; below it a thread costs more than it saves
+_ER_SPLIT_PAIRS = 1 << 22
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
 
 
 def gen_erdos_renyi(n, p, seed):
     """G(n, p): each of the C(n, 2) pairs present independently with
     probability p. Bit-reproducible given (n, p, seed).
 
-    Pairs are drawn in row-major order over the upper triangle. The
-    uniforms come out of the generator in fixed-size blocks, which leaves
-    the stream (and so the sampled graph) identical to a pair-at-a-time
-    loop while keeping memory linear in the block size.
+    Pairs are drawn in row-major order over the upper triangle, one
+    uniform each, from the single generator ``default_rng(seed)``. The
+    uniforms come out in fixed-size blocks, which leaves the stream (and
+    so the sampled graph) identical to a pair-at-a-time loop while keeping
+    memory linear in the block size. From ``_ER_SPLIT_PAIRS`` pairs on,
+    with at least two usable CPUs, the pairs are cut into two runs of
+    whole blocks: this thread draws the first, and a worker thread draws
+    the second from a copy of the generator advanced to the run's first
+    pair (PCG64 spends one 64-bit output per double), so every pair still
+    gets the uniform of the one-thread stream. All buffers are allocated
+    on the calling thread, and the worker calls no other package function.
     """
     if not (0.0 <= p <= 1.0):
         raise InputError(f"edge probability must lie in [0, 1], got {p}")
@@ -188,25 +207,67 @@ def gen_erdos_renyi(n, p, seed):
     rng = np.random.default_rng(seed)
     offsets = np.zeros(n, dtype=np.int64)
     np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=offsets[1:])
-    total = int(offsets[-1])
-    # pair indices of the edges, in one buffer: a list of one small array
-    # per block fragments the heap (with 2^16 blocks it raised the peak RSS
-    # of a process sampling a few n = 10^4 graphs by 0.3 MB)
-    mean = total * p
-    hits = np.empty(int(mean + _ER_SIGMAS * math.sqrt(mean)) + 16, dtype=np.int64)
-    count = 0
-    for start in range(0, total, _ER_BLOCK):
-        found = np.flatnonzero(rng.random(min(_ER_BLOCK, total - start)) < p)
-        if count + len(found) > len(hits):
-            hits = np.concatenate((hits[:count], np.empty(count + len(found), dtype=np.int64)))
-        np.add(found, start, out=hits[count:count + len(found)])
-        count += len(found)
-    hits = hits[:count]
-    eu = np.searchsorted(offsets, hits, side="right") - 1
+    hits = _er_hits(rng, p, int(offsets[-1]))
+    eu = np.searchsorted(offsets, hits, side="right")
+    eu -= 1
     # ev = hits - offsets[eu] + eu + 1, formed in hits' buffer
     ev = np.subtract(hits, offsets[eu], out=hits)
-    ev += eu + 1
+    ev += eu
+    ev += 1
     return Graph._from_sorted_pairs(n, eu, ev)
+
+
+def _er_hits(rng, p, total):
+    """Indices of the pairs in [0, total) whose uniform is below p; the
+    blocks are freed on return, before the graph is built."""
+    # this thread draws pairs [0, mid), a worker [mid, total)
+    mid = total
+    if (total >= _ER_SPLIT_PAIRS and type(rng.bit_generator) is np.random.PCG64
+            and _usable_cpus() > 1):
+        mid = total // (2 * _ER_BLOCK) * _ER_BLOCK
+    # pair indices of the edges, in one buffer with a region per run: a
+    # list of one small array per block fragments the heap (with 2^16
+    # blocks it raised the peak RSS of a process sampling a few n = 10^4
+    # graphs by 0.3 MB), and arrays a worker allocates stay in its arena
+    caps = [int(k * p + _ER_SIGMAS * math.sqrt(k * p)) + 16 for k in (mid, total - mid)]
+    buf = np.empty(sum(caps), dtype=np.int64)
+    u = np.empty((1 if mid == total else 2, min(_ER_BLOCK, total)))
+    mask = np.empty(u.shape, dtype=bool)
+    if mid == total:
+        hits, count = _er_run(rng, p, 0, total, u[0], mask[0], buf)
+        return hits[:count]
+    second = np.random.PCG64()
+    second.state = rng.bit_generator.state
+    second.advance(mid)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        tail = pool.submit(_er_run, np.random.Generator(second), p, mid, total,
+                           u[1], mask[1], buf[caps[0]:])
+        hits, count = _er_run(rng, p, 0, mid, u[0], mask[0], buf[:caps[0]])
+        rest, extra = tail.result()
+    # leave a caller's generator where the one-thread loop leaves it
+    rng.bit_generator.state = second.state
+    if hits.base is buf and count + extra <= len(buf):
+        # a forward move of 1-D data: numpy copies the overlap in place
+        buf[count:count + extra] = rest[:extra]
+        return buf[:count + extra]
+    return np.concatenate((hits[:count], rest[:extra]))
+
+
+def _er_run(rng, p, start, stop, u, mask, hits):
+    """(hits, count): the indices of the pairs in [start, stop) whose
+    uniform from rng is below p, in the first count entries of hits, which
+    is replaced by a larger copy when full. The uniforms are drawn
+    _ER_BLOCK at a time into u, and compared into mask."""
+    count = 0
+    for lo in range(start, stop, _ER_BLOCK):
+        k = min(_ER_BLOCK, stop - lo)
+        rng.random(out=u[:k])
+        found = np.flatnonzero(np.less(u[:k], p, out=mask[:k]))
+        if count + len(found) > len(hits):
+            hits = np.concatenate((hits[:count], np.empty(count + len(found), dtype=np.int64)))
+        np.add(found, lo, out=hits[count:count + len(found)])
+        count += len(found)
+    return hits, count
 
 
 def gen_random_regular(n, d, seed, max_restarts=10000):

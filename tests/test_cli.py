@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from kurasync import (
     read_edge_list,
     theorem_condition,
 )
+from kurasync import graphs
 from kurasync.certify import preset_regular_schedule
 from kurasync.cli import run
 from kurasync.spectral import ExpanderProfile
@@ -445,6 +447,81 @@ def test_sweep_er_sample(tmp_path):
         del r["provenance"], r["config"]
     assert rep_pooled == rep
     assert (pooled / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+
+
+def split_er_sampler(monkeypatch):
+    """Put every G(n, p) draw on the two-thread path, in blocks of 1024
+    pairs, so the 44,850 pairs of n = 300 split at pair 22,528."""
+    monkeypatch.setattr(graphs, "_ER_SPLIT_PAIRS", 0)
+    monkeypatch.setattr(graphs, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(graphs, "_ER_BLOCK", 1024)
+
+
+ER_SPLIT_SWEEP = ["sweep", "--kind", "er-sample", "--n", "300", "--gamma", "3", "--eps", "0.25",
+                  "--seed", "4", "--samples", "3"]
+
+
+def test_sweep_workers_nest_with_split_sampler(tmp_path, monkeypatch):
+    split_er_sampler(monkeypatch)
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    rep = run([*ER_SPLIT_SWEEP, "--workers", "1", "--out", str(serial)]).report
+    rep_pooled = run([*ER_SPLIT_SWEEP, "--workers", "2", "--out", str(pooled)]).report
+    for r in (rep, rep_pooled):
+        del r["provenance"], r["config"]["workers"]
+    assert rep_pooled == rep
+    assert (pooled / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+    monkeypatch.undo()
+    one = tmp_path / "one"
+    rep_one = run([*ER_SPLIT_SWEEP, "--out", str(one)]).report
+    del rep_one["provenance"]
+    assert rep_one == rep
+    assert (one / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+
+
+def test_split_sampler_keeps_tracer_spans_on_one_thread(monkeypatch):
+    # the benchmark's tracer keeps one span stack, so no traced function may
+    # run on the sampler's worker; its spans must nest as in bench/test_smoke.py
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from tracer import Tracer
+
+    split_er_sampler(monkeypatch)
+    threads = set()
+
+    class ThreadTracer(Tracer):
+        def open(self, name_id):
+            threads.add(threading.get_ident())
+            return super().open(name_id)
+
+    draws = []
+    draw = graphs._er_run
+
+    def spy(*args):
+        draws.append(threading.get_ident())
+        return draw(*args)
+
+    monkeypatch.setattr(graphs, "_er_run", spy)
+    tr = ThreadTracer()
+    tr.install()
+    try:
+        with tr.span("cli.sweep"):
+            assert run(ER_SPLIT_SWEEP).exit_status == 0
+    finally:
+        tr.uninstall()
+    assert threads == {threading.get_ident()}
+    assert len(draws) == 6 and len(set(draws)) > 1
+    parent, name, start, end = tr.arrays()
+    names = tr.names
+    assert sum(names[k] == "graphs.gen_erdos_renyi" for k in name) == 3
+    assert (end >= start).all()
+    child = parent >= 0
+    up = parent[child]
+    # every span lies inside its parent, and no function is wrapped twice
+    assert (start[child] >= start[up]).all() and (end[child] <= end[up]).all()
+    assert not (name[child] == name[up]).any()
+    # spans with one parent never overlap
+    order = np.lexsort((start, parent))
+    same = parent[order][1:] == parent[order][:-1]
+    assert (end[order][:-1][same] <= start[order][1:][same]).all()
 
 
 # each count option with a value just below its lower limit (or at it, which

@@ -1,8 +1,11 @@
 """Graph container, exact pair counting, generators, file format."""
 
 import math
+import sys
+import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -292,21 +295,181 @@ def test_erdos_renyi_degree_stream_oracle():
         assert np.array_equal(er_degree_sequence(n, p, seed), g.degrees)
 
 
+def er_runs(monkeypatch, split):
+    """Force gen_erdos_renyi onto the split path (or leave the one-thread
+    path for the sizes used here), and return the list that records each
+    run it draws as (start, stop, edge count, drawn off the calling thread)."""
+    if split:
+        monkeypatch.setattr(graphs, "_ER_SPLIT_PAIRS", 0)
+        monkeypatch.setattr(graphs, "_usable_cpus", lambda: 2)
+    runs = []
+    draw = graphs._er_run
+    caller = threading.get_ident()
+
+    def spy(rng, p, start, stop, *buffers):
+        hits, count = draw(rng, p, start, stop, *buffers)
+        runs.append((start, stop, count, threading.get_ident() != caller))
+        return hits, count
+
+    monkeypatch.setattr(graphs, "_er_run", spy)
+    return runs
+
+
+def assert_er_matches_reference(n, p, seed):
+    eu, ev = gen_erdos_renyi(n, p, seed).edge_arrays()
+    want_u, want_v = er_edges_reference(n, p, seed)
+    assert np.array_equal(eu, want_u) and np.array_equal(ev, want_v)
+    return len(want_u)
+
+
 @pytest.mark.parametrize("n,p,seed,block", [
     (12, 0.3, 0, 100),  # 66 pairs: one partial block
     (12, 0.3, 1, 66),  # exactly one block
     (40, 0.2, 2, 64),  # 780 pairs: twelve blocks and a partial one
-    (1500, 0.01, 3, None),  # 1,124,250 pairs: seventeen real blocks and a partial one
+    (1500, 0.01, 3, None),  # 1,124,250 pairs: sixty-eight real blocks and a partial one
 ])
 def test_erdos_renyi_blocks_match_one_draw(monkeypatch, n, p, seed, block):
     if block is None:
         assert n * (n - 1) // 2 > 4 * graphs._ER_BLOCK
     else:
         monkeypatch.setattr(graphs, "_ER_BLOCK", block)
-    eu, ev = gen_erdos_renyi(n, p, seed).edge_arrays()
-    want_u, want_v = er_edges_reference(n, p, seed)
-    assert len(want_u) > 0
-    assert np.array_equal(eu, want_u) and np.array_equal(ev, want_v)
+    total = n * (n - 1) // 2
+    for split in (False, True):
+        with monkeypatch.context() as patch:
+            runs = er_runs(patch, split)
+            assert assert_er_matches_reference(n, p, seed) > 0
+        if split:
+            # two runs of whole blocks; the second, drawn by a worker, ends the stream
+            mid = total // (2 * graphs._ER_BLOCK) * graphs._ER_BLOCK
+            assert sorted(r[:2] + r[3:] for r in runs) == [(0, mid, False), (mid, total, True)]
+        else:
+            assert runs == [(0, total, runs[0][2], False)]
+
+
+# (n, p, seed, what the case covers): with blocks of 64 pairs, the 780 pairs
+# of n = 40 split at pair 384, inside row 11
+SPLIT_CASES = [
+    (40, 0.2, 2, "boundary mid-row"),
+    (40, 0.003, 15, "no edge in the first run"),
+    (40, 0.003, 12, "no edge in the second run"),
+    (40, 0.0, 0, "p = 0"),
+    (40, 1.0, 0, "p = 1"),
+    (2, 1.0, 0, "n = 2: one pair, all in the second run"),
+    (1, 0.5, 0, "n = 1: no pair, no thread"),
+]
+
+
+@pytest.mark.parametrize("n,p,seed,case", SPLIT_CASES, ids=[c[3] for c in SPLIT_CASES])
+def test_erdos_renyi_split_matches_one_draw(monkeypatch, n, p, seed, case):
+    monkeypatch.setattr(graphs, "_ER_BLOCK", 64)
+    runs = er_runs(monkeypatch, split=True)
+    m = assert_er_matches_reference(n, p, seed)
+    counts = [r[2] for r in sorted(runs)]
+    assert sum(counts) == m
+    if n == 40:
+        offsets = np.cumsum(np.arange(n - 1, 0, -1))
+        assert [r[:2] for r in sorted(runs)] == [(0, 384), (384, 780)]
+        assert 384 not in offsets
+    if "no edge" in case:
+        assert m > 0 and counts[0 if "first" in case else 1] == 0
+    if n < 3:
+        assert [r[:2] for r in sorted(runs)] == ([(0, 0), (0, 1)] if n == 2 else [(0, 0)])
+
+
+@pytest.mark.parametrize("n,p,seed,block,sigmas", [
+    # regions of 16 and about 120 entries: both runs grow, the second on
+    # the worker thread (44,850 pairs split at pair 20,480)
+    (300, 0.05, 4, 4096, -math.sqrt(20480 * 0.05)),
+    # one block, so the first run is empty and the second outgrows the
+    # whole buffer of 32 entries
+    (12, 0.8, 0, 100, -math.sqrt(66 * 0.8)),
+])
+def test_erdos_renyi_split_grows_its_edge_buffer(monkeypatch, n, p, seed, block, sigmas):
+    monkeypatch.setattr(graphs, "_ER_BLOCK", block)
+    monkeypatch.setattr(graphs, "_ER_SIGMAS", sigmas)
+    runs = er_runs(monkeypatch, split=True)
+    assert assert_er_matches_reference(n, p, seed) > 32
+    first, second = sorted(runs)
+    assert second[3] and second[2] > 32
+    assert first[2] == 0 if n == 12 else first[2] > 32
+
+
+def test_erdos_renyi_split_first_run_outgrows_its_region(monkeypatch):
+    # with no room of its own, the first run's edges land in a new array
+    # while the second run's still fit the shared buffer
+    monkeypatch.setattr(graphs, "_ER_BLOCK", 64)
+    runs = er_runs(monkeypatch, split=True)
+    draw = graphs._er_run
+
+    def no_room_first(rng, p, start, stop, u, mask, hits):
+        return draw(rng, p, start, stop, u, mask, hits[:0] if start == 0 else hits)
+
+    monkeypatch.setattr(graphs, "_er_run", no_room_first)
+    assert assert_er_matches_reference(40, 0.2, 2) > 0
+    assert min(r[2] for r in runs) > 0
+
+
+def test_erdos_renyi_split_under_thread_stress(monkeypatch):
+    # four callers at once, each with its own worker, on two cores, with the
+    # interpreter switching threads every microsecond
+    monkeypatch.setattr(graphs, "_ER_BLOCK", 512)
+    er_runs(monkeypatch, split=True)
+    want = [er_edges_reference(300, 0.05, seed) for seed in range(4)]
+
+    def sample(seed):
+        return [gen_erdos_renyi(300, 0.05, seed).edge_arrays() for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = [f.result(timeout=60) for f in [pool.submit(sample, s) for s in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for draws, (want_u, want_v) in zip(got, want):
+        assert all(np.array_equal(eu, want_u) and np.array_equal(ev, want_v) for eu, ev in draws)
+
+
+def test_erdos_renyi_split_at_scale_matches_one_thread(monkeypatch):
+    # above the real split threshold, against the one-thread path of the
+    # same size (the reference draw would hold 1.2 GB here)
+    n, p = 10_000, 3 * math.log(10_000) / 10_000
+    assert n * (n - 1) // 2 >= graphs._ER_SPLIT_PAIRS
+    runs = er_runs(monkeypatch, split=True)
+    split = gen_erdos_renyi(n, p, 5).edge_arrays()
+    assert len(runs) == 2
+    monkeypatch.setattr(graphs, "_usable_cpus", lambda: 1)
+    one = gen_erdos_renyi(n, p, 5).edge_arrays()
+    assert len(runs) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(split, one))
+
+
+def test_erdos_renyi_split_seed_kinds_agree(monkeypatch):
+    # an int and its SeedSequence seed one stream, a caller's generator is
+    # left where the one-thread loop leaves it, and a generator that cannot
+    # jump ahead is drawn on one thread
+    n, p = 120, 0.1
+    monkeypatch.setattr(graphs, "_ER_BLOCK", 256)
+    runs = er_runs(monkeypatch, split=True)
+    want = er_edges_reference(n, p, 7)
+    for seed in (7, np.random.SeedSequence(7), np.random.default_rng(7)):
+        got = gen_erdos_renyi(n, p, seed).edge_arrays()
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    rng = np.random.default_rng(7)
+    gen_erdos_renyi(n, p, rng)
+    after = np.random.default_rng(7)
+    after.random(n * (n - 1) // 2)
+    assert rng.random() == after.random()
+
+    def mt():
+        return np.random.Generator(np.random.MT19937(7))
+
+    iu, iv = np.triu_indices(n, 1)
+    keep = mt().random(len(iu)) < p
+    del runs[:]
+    got = gen_erdos_renyi(n, p, mt()).edge_arrays()
+    assert np.array_equal(got[0], iu[keep]) and np.array_equal(got[1], iv[keep])
+    assert [r[:2] for r in runs] == [(0, len(iu))]
 
 
 def test_erdos_renyi_edge_buffer_grows(monkeypatch):
@@ -349,8 +512,8 @@ def test_erdos_renyi_memory_stays_small():
     n = 10_000
     g, peak = traced_peak(lambda: gen_erdos_renyi(n, 3 * math.log(n) / n, 0))
     assert g.m == 137_931
-    # about 41 bytes per edge: 512 KiB of uniforms per block, then the
-    # graph build; one block of 2^21 uniforms alone would break the bound
+    # about 41 bytes per edge: two blocks of 2^14 uniforms and masks, then
+    # the graph build; one block of 2^21 uniforms alone would break the bound
     assert peak < 100 * g.m
 
 
