@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -65,12 +66,15 @@ class Graph:
             u, v = pairs[outside[0]]
             raise InputError(f"edge ({u}, {v}) out of range for n={n}")
         # key lo * n + hi, formed in lo's buffer; sort and drop repeats
-        # (np.unique's hashing path is far slower on int64 keys of this size)
+        # unless the keys already increase strictly, as the pairs of every
+        # written edge list do (np.unique's hashing path is far slower on
+        # int64 keys of this size)
         key = np.multiply(lo, n, out=lo)
         key += hi
         del hi
-        key.sort()
-        key = key[np.diff(key, prepend=-1) > 0]
+        if not (key[1:] > key[:-1]).all():
+            key.sort()
+            key = key[np.diff(key, prepend=-1) > 0]
         self._build(n, key // n, np.remainder(key, n, out=key))
 
     @classmethod
@@ -178,6 +182,10 @@ _ER_SPLIT_PAIRS = 1 << 22
 
 
 def _usable_cpus():
+    """CPUs a G(n, p) draw on this thread may use: one off the main thread,
+    whose siblings (a sweep's pool workers, say) already share the CPUs."""
+    if threading.current_thread() is not threading.main_thread():
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
@@ -199,6 +207,7 @@ def gen_erdos_renyi(n, p, seed):
     pair (PCG64 spends one 64-bit output per double), so every pair still
     gets the uniform of the one-thread stream. All buffers are allocated
     on the calling thread, and the worker calls no other package function.
+    Only the main thread splits its draw.
     """
     if not (0.0 <= p <= 1.0):
         raise InputError(f"edge probability must lie in [0, 1], got {p}")
@@ -380,19 +389,34 @@ def degree_extrema(g):
     return int(degs.min()), int(degs.max())
 
 
-_WRITE_BLOCK = 1 << 16  # edge lines per formatting call in write_edge_list
+_WRITE_BLOCK = 1 << 16  # edge lines per write in write_edge_list
 
 
 def write_edge_list(g, path):
     """Write the text format: first line "n m", then m lines "u v", u < v."""
     eu, ev = g.edge_arrays()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{g.n} {g.m}\n")
-        # one %-format per block of lines: as fast as formatting all lines
-        # at once, with only one block's pairs and Python ints alive
+    # a block of lines is one uint8 row per edge: u right-aligned in width
+    # bytes, a space, v the same, LF; the NULs that pad short numbers are
+    # dropped as the block is written
+    width = len(str(g.n - 1))
+    lines = np.empty((min(_WRITE_BLOCK, g.m), 2 * width + 2), dtype=np.uint8)
+    lines[:, width] = ord(" ")
+    lines[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{g.n} {g.m}\n".encode())
         for i in range(0, g.m, _WRITE_BLOCK):
-            block = np.column_stack((eu[i : i + _WRITE_BLOCK], ev[i : i + _WRITE_BLOCK]))
-            fh.write("%d %d\n" * len(block) % tuple(block.ravel().tolist()))
+            j = min(i + _WRITE_BLOCK, g.m)
+            rows = lines[: j - i]
+            for x, end in ((eu[i:j], width), (ev[i:j], 2 * width + 1)):
+                r = x.astype(np.min_scalar_type(g.n - 1))
+                for place in range(width):
+                    # digits from the right; a place the number has run
+                    # out of keeps its digit 0, which is NUL
+                    col = rows[:, end - 1 - place]
+                    shown = (r != 0) | (place == 0)
+                    np.divmod(r, 10, out=(r, col), casting="unsafe")
+                    np.add(col, ord("0"), out=col, where=shown)
+            fh.write(rows[rows != 0])
 
 
 def _next_nonblank(lines):

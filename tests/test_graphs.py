@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kurasync import (
@@ -117,6 +117,37 @@ def test_constructor_matches_set_oracle(data):
         assert got.tolist() == ref
     # the edge arrays are int64; the CSR keeps scipy's index dtype
     assert all(a.dtype == np.int64 for a in g.edge_arrays())
+
+
+@pytest.mark.parametrize("kind", ["presorted", "shuffled", "flipped", "repeats"])
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), keys=st.sets(st.integers(0, 779), max_size=60),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=1, keys=set(), seed=0)  # m = 0
+@example(n=2, keys={0}, seed=0)  # m = 1
+def test_constructor_input_order_matches_set_oracle(kind, n, keys, seed):
+    # canonical pairs in order take the constructor's no-sort path; any
+    # other order, or a repeat, is sorted and deduplicated
+    rng = np.random.default_rng(seed)
+    iu, iv = np.triu_indices(n, 1)
+    keep = sorted(k for k in keys if k < len(iu))
+    pairs = np.column_stack((iu[keep], iv[keep])).astype(np.int64).reshape(-1, 2)
+    m = len(pairs)
+    if kind == "shuffled":
+        pairs = pairs[rng.permutation(m)]
+    elif kind == "flipped":
+        pairs = np.where(rng.random((m, 1)) < 0.5, pairs[:, ::-1], pairs)
+    elif kind == "repeats":
+        counts = rng.integers(1, 4, size=m)
+        counts[:1] = 2
+        pairs = np.repeat(pairs, counts, axis=0)
+        if seed % 2:
+            pairs = pairs[rng.permutation(len(pairs))]
+    g = Graph(n, pairs)
+    want = canonical_graph_arrays(n, pairs.tolist())
+    assert g.n == n and g.m == m == len(want[0])
+    for got, ref in zip(graph_arrays(g), want):
+        assert got.tolist() == ref
 
 
 def test_erdos_renyi_rebuilt_through_constructor():
@@ -472,6 +503,30 @@ def test_erdos_renyi_split_seed_kinds_agree(monkeypatch):
     assert [r[:2] for r in runs] == [(0, len(iu))]
 
 
+def test_erdos_renyi_draws_on_one_thread_off_the_main_thread(monkeypatch):
+    # a sweep's pool worker draws alone; the main thread still splits
+    monkeypatch.setattr(graphs, "_ER_SPLIT_PAIRS", 0)
+    monkeypatch.setattr(graphs, "_ER_BLOCK", 64)
+    monkeypatch.setattr(graphs.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pools = []
+    executor = graphs.ThreadPoolExecutor
+
+    def counting_executor(*args, **kwargs):
+        pools.append(threading.get_ident())
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "ThreadPoolExecutor", counting_executor)
+    want_u, want_v = er_edges_reference(40, 0.2, 2)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(gen_erdos_renyi, 40, 0.2, 2) for _ in range(4)]
+        got = [f.result(timeout=60).edge_arrays() for f in futures]
+    assert all(np.array_equal(eu, want_u) and np.array_equal(ev, want_v) for eu, ev in got)
+    assert pools == []
+    eu, ev = gen_erdos_renyi(40, 0.2, 2).edge_arrays()
+    assert np.array_equal(eu, want_u) and np.array_equal(ev, want_v)
+    assert pools == [threading.get_ident()]
+
+
 def test_erdos_renyi_edge_buffer_grows(monkeypatch):
     # an edge buffer that starts at 16 entries has to grow many times over
     n, p, seed = 300, 0.05, 4
@@ -522,9 +577,21 @@ def test_read_edge_list_memory_stays_small(tmp_path):
     write_edge_list(gen_named("complete", 800), path)
     g, peak = traced_peak(lambda: read_edge_list(path))
     assert g.m == 319_600
-    # about 64 bytes per edge: the parsed pairs, then the graph build; a
-    # str and a StringIO copy of the file's text would break the bound
-    assert peak < 100 * g.m
+    # about 56 bytes per edge: the parsed pairs, then the graph build with
+    # no re-sort of the written, already canonical pairs; a str and a
+    # StringIO copy of the file's text, or a sorted and deduplicated copy of
+    # the keys, would break the bound
+    assert peak < 60 * g.m
+
+
+def test_write_edge_list_memory_stays_small(tmp_path):
+    g = gen_named("complete", 800)
+    write_edge_list(g, tmp_path / "warm.txt")
+    _, peak = traced_peak(lambda: write_edge_list(g, tmp_path / "k800.txt"))
+    # about 5.6 bytes per edge: one block of 2^16 lines of 8 bytes, its
+    # compacted copy and mask, and the digit buffers; formatting Python
+    # ints per edge took 24
+    assert peak < 8 * g.m
 
 
 def test_random_regular_is_regular_and_simple():
@@ -630,6 +697,31 @@ def test_edge_list_round_trip(tmp_path):
         path = tmp_path / "g.txt"
         write_edge_list(g, path)
         assert path.read_text(encoding="utf-8") == edge_list_text(g)
+        h = read_edge_list(path)
+        assert h.n == g.n and h.m == g.m
+        for a, b in zip(graph_arrays(g), graph_arrays(h)):
+            assert np.array_equal(a, b)
+
+
+def digit_width_graphs():
+    """Graphs whose vertex numbers cross each decimal width, with and
+    without edges at the crossing."""
+    crossings = [(0, 1), (9, 10), (99, 100), (999, 1000), (8, 9), (0, 999), (10, 99)]
+    for n in (1, 2, 10, 11, 100, 101, 1001):
+        yield Graph(n, [(u, v) for u, v in crossings if v < n] + [(0, n - 1)] * (n > 1))
+    yield Graph(1001, [])
+    yield gen_named("complete", 64)
+
+
+@pytest.mark.parametrize("block", [3, 4, 1 << 16])
+def test_edge_list_bytes_match_oracle(tmp_path, monkeypatch, block):
+    # with blocks of 3 and 4 lines some lists end inside a block and some
+    # at its end (K_64's 2,016 edges fill 672 blocks of 3 and 504 of 4)
+    monkeypatch.setattr(graphs, "_WRITE_BLOCK", block)
+    path = tmp_path / "g.txt"
+    for g in digit_width_graphs():
+        write_edge_list(g, path)
+        assert path.read_bytes() == edge_list_text(g).encode("utf-8")
         h = read_edge_list(path)
         assert h.n == g.n and h.m == g.m
         for a, b in zip(graph_arrays(g), graph_arrays(h)):
