@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -56,30 +57,14 @@ class Graph:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise InputError(f"edges must be vertex pairs, got shape {pairs.shape}")
-        lo = np.minimum(pairs[:, 0], pairs[:, 1])
-        hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        loops = np.flatnonzero(lo == hi)
-        if len(loops):
-            raise InputError(f"self-loop at vertex {lo[loops[0]]}")
-        outside = np.flatnonzero((lo < 0) | (hi >= n))
-        if len(outside):
-            u, v = pairs[outside[0]]
-            raise InputError(f"edge ({u}, {v}) out of range for n={n}")
-        # key lo * n + hi, formed in lo's buffer; sort and drop repeats
-        # unless the keys already increase strictly, as the pairs of every
-        # written edge list do (np.unique's hashing path is far slower on
-        # int64 keys of this size)
-        key = np.multiply(lo, n, out=lo)
-        key += hi
-        del hi
-        if not (key[1:] > key[:-1]).all():
-            key.sort()
-            key = key[np.diff(key, prepend=-1) > 0]
-        self._build(n, key // n, np.remainder(key, n, out=key))
+        eu, ev, _ = _canonical_edges(n, np.minimum(pairs[:, 0], pairs[:, 1]),
+                                     np.maximum(pairs[:, 0], pairs[:, 1]))
+        self._build(n, eu, ev)
 
     @classmethod
     def _from_sorted_pairs(cls, n, eu, ev):
-        # generator fast path: caller guarantees canonical pair arrays
+        # fast path for the generators, and for read_edge_list after
+        # _canonical_edges: the caller guarantees canonical pair arrays
         # (u < v, unique, lexsorted), so validation is skipped
         self = cls.__new__(cls)
         self._build(int(n), np.asarray(eu, dtype=np.int64), np.asarray(ev, dtype=np.int64))
@@ -129,6 +114,42 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _canonical_edges(n, lo, hi):
+    """(eu, ev, repeat): the edges {lo[i], hi[i]} as canonical pair arrays,
+    and the smallest edge given more than once as (u, v), or None.
+
+    Raises InputError on a pair with lo >= hi (a self-loop when equal) and
+    on a vertex outside 0..n-1. When the keys lo * n + hi already increase
+    strictly, as the pairs of every written edge list do, lo and hi are
+    returned as they are; otherwise the keys are sorted and repeats dropped
+    (np.unique's hashing path is far slower on int64 keys of this size).
+    """
+    bad = np.flatnonzero(lo >= hi)
+    if len(bad):
+        u, v = lo[bad[0]], hi[bad[0]]
+        if u == v:
+            raise InputError(f"self-loop at vertex {u}")
+        raise InputError(f"edges must satisfy u < v, got '{u} {v}'")
+    outside = np.flatnonzero((lo < 0) | (hi >= n))
+    if len(outside):
+        i = outside[0]
+        raise InputError(f"edge ({lo[i]}, {hi[i]}) out of range for n={n}")
+    key = lo * n
+    key += hi
+    if (key[1:] > key[:-1]).all():
+        return lo, hi, None
+    key.sort()
+    kept = np.empty(len(key), dtype=bool)
+    kept[0] = True
+    np.not_equal(key[1:], key[:-1], out=kept[1:])
+    repeat = None
+    if not kept.all():
+        dup = key[np.argmin(kept)]
+        repeat = (dup // n, dup % n)
+    key = key[kept]
+    return key // n, np.remainder(key, n, out=key), repeat
 
 
 def gen_named(family, n):
@@ -322,27 +343,41 @@ def gen_random_regular(n, d, seed, max_restarts=10000):
         while len(pending):
             a, b = pending[0::2], pending[1::2]
             lo, hi = np.minimum(a, b), np.maximum(a, b)
-            key = lo * n + hi
             ok = lo != hi
+            # key min*n + max, formed in lo's buffer
+            key = np.multiply(lo, n, out=lo)
+            key += hi
+            del hi
             if len(present):
-                at = np.minimum(np.searchsorted(present, key), len(present) - 1)
+                at = np.searchsorted(present, key)
+                np.minimum(at, len(present) - 1, out=at)
                 ok &= present[at] != key
+                del at
             # first occurrence in this round: the smallest pair index in each
             # run of equal keys (a stable argsort is about 5x slower here)
             order = np.argsort(key)
-            starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+            sk = key[order]
+            starts = np.empty(len(sk), dtype=bool)
+            starts[0] = True
+            np.not_equal(sk[1:], sk[:-1], out=starts[1:])
+            del sk
+            starts = np.flatnonzero(starts)
             first = np.zeros(len(key), dtype=bool)
             first[np.minimum.reduceat(order, starts)] = True
+            del order, starts
             ok &= first
             if not ok.any():
                 break  # stuck: remaining stubs admit no legal pair
             # merged by sorting a concatenation: np.union1d and np.unique
             # take numpy's hashing path, which is far slower on these keys
-            present = np.sort(np.concatenate((present, key[ok])))
+            present = np.concatenate((present, key[ok]))
+            present.sort()
+            del key
             pending = pending[np.repeat(~ok, 2)]
             rng.shuffle(pending)
         else:
-            return Graph._from_sorted_pairs(n, present // n, present % n)
+            eu = present // n
+            return Graph._from_sorted_pairs(n, eu, np.remainder(present, n, out=present))
     raise GenerationError(
         f"no simple {d}-regular pairing on {n} vertices in {max_restarts} restarts"
     )
@@ -389,7 +424,7 @@ def degree_extrema(g):
     return int(degs.min()), int(degs.max())
 
 
-_WRITE_BLOCK = 1 << 16  # edge lines per write in write_edge_list
+_WRITE_BLOCK = 1 << 14  # edge lines per write in write_edge_list
 
 
 def write_edge_list(g, path):
@@ -411,12 +446,18 @@ def write_edge_list(g, path):
                 r = x.astype(np.min_scalar_type(g.n - 1))
                 for place in range(width):
                     # digits from the right; a place the number has run
-                    # out of keeps its digit 0, which is NUL
+                    # out of keeps its digit 0, which is NUL (the units
+                    # digit is always shown)
                     col = rows[:, end - 1 - place]
-                    shown = (r != 0) | (place == 0)
+                    shown = r != 0 if place else True
                     np.divmod(r, 10, out=(r, col), casting="unsafe")
                     np.add(col, ord("0"), out=col, where=shown)
             fh.write(rows[rows != 0])
+
+
+# a header field: an optional sign and ASCII digits, as np.loadtxt reads
+# the body's fields (int() would also take "1_0" and non-ASCII digits)
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 def _next_nonblank(lines):
@@ -425,21 +466,23 @@ def _next_nonblank(lines):
 
 
 def read_edge_list(path):
-    """Read the edge-list text format, rejecting any format violation."""
+    """Read the edge-list text format, rejecting any format violation with
+    an InputError that names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             # the body is parsed straight from the file, line by line, so no
             # copy of the whole text is held
             header = _next_nonblank(fh).strip()
             if not header:
-                raise InputError(f"{path}: empty edge-list file")
+                raise InputError("empty edge-list file")
             head = header.split()
             if len(head) != 2:
-                raise InputError(f"{path}: header must be 'n m', got {header!r}")
-            try:
-                n, m = int(head[0]), int(head[1])
-            except ValueError:
-                raise InputError(f"{path}: non-integer header {header!r}")
+                raise InputError(f"header must be 'n m', got {header!r}")
+            if not all(map(_DECIMAL.fullmatch, head)):
+                raise InputError(f"non-integer header {header!r}")
+            n, m = int(head[0]), int(head[1])
+            if n < 1:
+                raise InputError(f"vertex count must be a positive integer, got {n}")
             pairs = np.empty((0, 2), dtype=np.int64)
             first = _next_nonblank(fh)
             if first:
@@ -449,20 +492,20 @@ def read_edge_list(path):
                 except UnicodeDecodeError:
                     raise
                 except ValueError as exc:
-                    raise InputError(f"{path}: bad edge line: {exc}")
+                    raise InputError(f"bad edge line: {exc}")
+        if len(pairs) != m:
+            raise InputError(f"header claims {m} edges, found {len(pairs)}")
+        if pairs.shape[1] != 2:
+            raise InputError(f"edge lines must hold two vertices, found {pairs.shape[1]}")
+        # a column each, so the (m, 2) array is freed before the build
+        u, v = pairs[:, 0].copy(), pairs[:, 1].copy()
+        del pairs
+        eu, ev, repeat = _canonical_edges(n, u, v)
+        del u, v
+        if repeat is not None:
+            raise InputError(f"duplicate edge '{repeat[0]} {repeat[1]}'")
+        return Graph._from_sorted_pairs(n, eu, ev)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: edge-list file is not UTF-8 text ({exc.reason})") from None
-    if len(pairs) != m:
-        raise InputError(f"{path}: header claims {m} edges, found {len(pairs)}")
-    if pairs.shape[1] != 2:
-        raise InputError(f"{path}: edge lines must hold two vertices, found {pairs.shape[1]}")
-    flipped = np.flatnonzero(pairs[:, 0] >= pairs[:, 1])
-    if len(flipped):
-        u, v = pairs[flipped[0]]
-        raise InputError(f"{path}: edges must satisfy u < v, got '{u} {v}'")
-    g = Graph(n, pairs)
-    if g.m != m:
-        key = np.sort(pairs[:, 0] * n + pairs[:, 1])
-        dup = key[1:][key[1:] == key[:-1]][0]
-        raise InputError(f"{path}: duplicate edge '{dup // n} {dup % n}'")
-    return g
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -740,6 +741,30 @@ def test_malformed_json_files_exit_2(tmp_path, text):
         proc = run_cli(*args)
         assert proc.returncode == 2, (args, proc.stderr)
         assert proc.stderr.startswith("error:") and str(path) in proc.stderr, proc.stderr
+
+
+def test_dense_certify_commands_peak_at_the_graph_size(tmp_path):
+    # the commands of the benchmark's dense_certify workload; small runs
+    # first, so first-call imports and caches stay out of the count
+    def commands(n, regular, out):
+        return [["generate", "--gen", f"complete:{n}", "--out", str(out)],
+                ["certify", "--graph", str(out / "graph.txt")],
+                ["certify", "--gen", f"regular:{regular}", "--seed", "0"]]
+
+    for argv in commands(10, "30,4", tmp_path / "warm"):
+        run(argv)
+    peaks = []
+    for argv in commands(800, "2000,200", tmp_path / "k800"):
+        tracemalloc.start()
+        try:
+            run(argv)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # K_800 keeps 40 bytes for each of its 319,600 edges; no command needs
+    # much more than that graph: reading its file took 1.40 times as much
+    # while the parsed pairs lived through the build
+    assert max(peaks) <= 1.05 * 40 * 319_600, peaks
 
 
 def test_non_utf8_edge_list_exits_2(tmp_path):

@@ -577,21 +577,22 @@ def test_read_edge_list_memory_stays_small(tmp_path):
     write_edge_list(gen_named("complete", 800), path)
     g, peak = traced_peak(lambda: read_edge_list(path))
     assert g.m == 319_600
-    # about 56 bytes per edge: the parsed pairs, then the graph build with
-    # no re-sort of the written, already canonical pairs; a str and a
-    # StringIO copy of the file's text, or a sorted and deduplicated copy of
-    # the keys, would break the bound
-    assert peak < 60 * g.m
+    # about 40 bytes per edge, the built graph: the parsed (m, 2) pairs are
+    # split into two columns and freed, and the written, already canonical
+    # columns become the graph's edge arrays with no copy or re-sort; keeping
+    # the pairs through the build took 56, and a str or StringIO copy of the
+    # file's text, or a sorted copy of the keys, would break the bound too
+    assert peak < 42 * g.m
 
 
 def test_write_edge_list_memory_stays_small(tmp_path):
     g = gen_named("complete", 800)
     write_edge_list(g, tmp_path / "warm.txt")
     _, peak = traced_peak(lambda: write_edge_list(g, tmp_path / "k800.txt"))
-    # about 5.6 bytes per edge: one block of 2^16 lines of 8 bytes, its
-    # compacted copy and mask, and the digit buffers; formatting Python
-    # ints per edge took 24
-    assert peak < 8 * g.m
+    # about 1.4 bytes per edge: one block of 2^14 lines of 8 bytes, its
+    # compacted copy and mask, and the digit buffers; blocks of 2^16 lines
+    # took 5.6, and formatting Python ints per edge took 24
+    assert peak < 2 * g.m
 
 
 def test_random_regular_is_regular_and_simple():
@@ -678,8 +679,11 @@ def test_random_regular_memory_stays_linear():
     n, d = 2000, 200
     g, peak = traced_peak(lambda: gen_random_regular(n, d, 0))
     assert g.m == n * d // 2
-    # about 24 MiB for these 200,000 edges
-    assert peak < 128 * g.m
+    # about 49 bytes per edge (9.4 MiB for these 200,000 edges): a round's
+    # keys are formed in one of its endpoint buffers and each temporary is
+    # dropped once used; rounds that kept both endpoint arrays and an int64
+    # diff of the sorted keys took 73
+    assert peak < 60 * g.m
 
 
 def test_random_regular_rejects_impossible():
@@ -728,25 +732,41 @@ def test_edge_list_bytes_match_oracle(tmp_path, monkeypatch, block):
             assert np.array_equal(a, b)
 
 
+MALFORMED_EDGE_LISTS = {
+    "empty": "",
+    "bad_header": "3\n",
+    "count_mismatch": "3 2\n0 1\n",
+    "orientation": "3 1\n1 0\n",
+    "duplicate": "3 2\n0 1\n0 1\n",
+    "loop": "3 1\n1 1\n",
+    "tokens": "3 1\n0 1 2\n",
+    "ragged": "3 2\n0 1\n2\n",
+    "non_integer": "3 1\n0 x\n",
+    "float": "3 1\n0 1.0\n",
+    "out_of_range": "3 1\n0 3\n",
+    # the header follows the body's integer grammar: int() would read
+    # these as n = 10 and n = 3, np.loadtxt rejects both in an edge line
+    "header_underscore": "1_0 1\n0 1\n",
+    "header_non_ascii_digit": "\u0663 1\n0 1\n",
+    "header_float": "3.0 1\n0 1\n",
+    "no_vertices": "0 0\n",
+    "negative_vertices": "-3 0\n",
+}
+
+
 def test_edge_list_rejects_malformed(tmp_path):
-    cases = {
-        "empty": "",
-        "bad_header": "3\n",
-        "count_mismatch": "3 2\n0 1\n",
-        "orientation": "3 1\n1 0\n",
-        "duplicate": "3 2\n0 1\n0 1\n",
-        "loop": "3 1\n1 1\n",
-        "tokens": "3 1\n0 1 2\n",
-        "ragged": "3 2\n0 1\n2\n",
-        "non_integer": "3 1\n0 x\n",
-        "float": "3 1\n0 1.0\n",
-        "out_of_range": "3 1\n0 3\n",
-    }
-    for name, text in cases.items():
+    for name, text in MALFORMED_EDGE_LISTS.items():
         path = tmp_path / f"{name}.txt"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(InputError):
+        with pytest.raises(InputError) as info:
             read_edge_list(path)
+        # every error names the file, also those of the graph's own checks
+        assert str(info.value).startswith(f"{path}: "), (name, str(info.value))
+    # a sign is part of the grammar, in the header as in the body
+    path = tmp_path / "signed.txt"
+    path.write_text("+3 1\n0 +1\n", encoding="utf-8")
+    g = read_edge_list(path)
+    assert (g.n, g.m) == (3, 1)
     # the one canonicalization finds the repeat and the error names it
     path = tmp_path / "repeat.txt"
     path.write_text("4 3\n0 1\n2 3\n0 1\n", encoding="utf-8")
@@ -758,6 +778,33 @@ def test_edge_list_rejects_malformed(tmp_path):
         path.write_bytes(data)
         with pytest.raises(InputError, match="not UTF-8 text"):
             read_edge_list(path)
+
+
+@pytest.mark.parametrize("sep", ["\t", "\f", "\v", "\x1c", "\x1d", "\x1e", "\x1f",
+                                 "\u00a0", "\u2003", " \t\u00a0 "])
+def test_edge_list_field_separators(tmp_path, sep):
+    # np.loadtxt on a text handle splits fields on any run of whitespace
+    # that str.split() knows, not only on spaces and tabs; the header's
+    # str.split() agrees with it
+    path = tmp_path / "g.txt"
+    path.write_text(f"3{sep}2\n0{sep}1\n1{sep}2{sep}\n", encoding="utf-8", newline="")
+    g = read_edge_list(path)
+    assert (g.n, g.m) == (3, 2)
+    assert [a.tolist() for a in g.edge_arrays()] == [[0, 1], [1, 2]]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_edge_list_line_ends(tmp_path, end):
+    # the file is opened with universal newlines: LF, CRLF and a lone CR
+    # each end a line
+    path = tmp_path / "g.txt"
+    path.write_text(f"3 2{end}0 1{end}1 2{end}", encoding="utf-8", newline="")
+    g = read_edge_list(path)
+    assert [a.tolist() for a in g.edge_arrays()] == [[0, 1], [1, 2]]
+    # so a CR inside an edge line splits it in two, which the count rejects
+    path.write_text(f"3 1{end}0\r1{end}", encoding="utf-8", newline="")
+    with pytest.raises(InputError, match="header claims 1 edges, found 2"):
+        read_edge_list(path)
 
 
 def test_degree_extrema():
