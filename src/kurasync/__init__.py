@@ -30,6 +30,7 @@ from .graphs import (
 )
 from .spectral import (
     ExpanderProfile,
+    MixingEntry,
     MixingReport,
     centered_adjacency_alpha,
     centered_laplacian_extremes,
@@ -59,6 +60,7 @@ from .certify import (
     Schedule,
     SmallArcStep,
     TailStep,
+    TraceRow,
     amplification_run,
     max_alpha_regular,
     min_ramanujan_degree,

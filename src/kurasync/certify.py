@@ -171,7 +171,7 @@ def theorem_condition(profile):
             64.0 * alpha * (1.0 + cp) * math.log((1.0 + cp + alpha) / (2.0 * alpha))
             / ((1.0 + cm) * (1.0 + 5.0 * cp - 4.0 * cm))
         )
-    if alpha > 0.2:
+    if alpha > GENERAL_ALPHA_SUP:
         reasons.append(f"alpha={alpha} exceeds the 1/5 gate")
     if c1 >= 1.0:
         reasons.append(f"condition1={c1:.6f} is not below 1")
@@ -401,7 +401,7 @@ def _auto_proof_run(profile, rows):
     the two stage rows and returns the certified mass, or raises _Refuted.
     """
     alpha, cm, cp = profile.alpha, profile.c_minus, profile.c_plus
-    if alpha > 0.2:
+    if alpha > GENERAL_ALPHA_SUP:
         raise _Refuted(f"alpha={alpha} exceeds the 1/5 gate")
     if alpha == 0.0:
         raise _Refuted("alpha = 0 leaves no strict margin over the zero budget")

@@ -49,7 +49,7 @@ from .graphs import (
     read_edge_list,
     write_edge_list,
 )
-from .randomgraphs import er_prediction, gamma_roots
+from .randomgraphs import CERTIFIABLE_VERDICT, er_prediction, gamma_roots
 from .spectral import (
     DEFAULT_TOL,
     ExpanderProfile,
@@ -406,8 +406,7 @@ def _cmd_er_predict(cfg):
     eps = _require(cfg, "eps", "for a prediction")
     pred = er_prediction(n, gamma, eps)
     report = {"prediction": pred.to_json_dict()}
-    status = 0 if pred.alpha_pred <= 0.2 else 1
-    return report, status, {}
+    return report, 0 if pred.verdict == CERTIFIABLE_VERDICT else 1, {}
 
 
 def _sweep_gamma_roots(cfg):

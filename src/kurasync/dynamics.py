@@ -404,8 +404,8 @@ def classify_equilibrium(g, theta, grad_tol=GRAD_TOL):
     if not 0.0 < grad_tol < np.inf:
         raise InputError(f"grad_tol must be finite and positive, got {grad_tol}")
     theta = _check_state(g, theta)
-    eig_tol = 1e-8 * max(int(g.degrees.max()) if g.n else 1, 1)
-    gn = float(np.max(np.abs(gradient(g, theta)))) if g.n else 0.0
+    eig_tol = 1e-8 * max(int(g.degrees.max()), 1)
+    gn = float(np.max(np.abs(gradient(g, theta))))
     min_eig = _restricted_min_eig(g, theta, eig_tol / 10.0)
     if gn >= grad_tol:
         cls = "not_equilibrium"

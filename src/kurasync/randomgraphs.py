@@ -13,6 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .certify import GENERAL_ALPHA_SUP
 from .errors import BracketError, ConsistencyError, DomainError, InputError, NumericalError
 from .spectral import record_json
 
@@ -221,7 +222,7 @@ def er_prediction(n, gamma, eps):
     c_minus, c_plus = gamma_roots(gamma)
     c_minus_e, c_plus_e = gamma_roots_eps(gamma, eps)
     alpha_pred = 6.0 / math.sqrt(gamma * logn)
-    verdict = VACUOUS_VERDICT if alpha_pred > 0.2 else CERTIFIABLE_VERDICT
+    verdict = VACUOUS_VERDICT if alpha_pred > GENERAL_ALPHA_SUP else CERTIFIABLE_VERDICT
     return ErPrediction(
         n=n, gamma=float(gamma), eps=float(eps), p=p, d_ref=gamma * logn,
         alpha_pred=alpha_pred, c_minus_pred=c_minus, c_plus_pred=c_plus,

@@ -39,8 +39,9 @@ from kurasync import (
     theorem_condition,
 )
 from kurasync import graphs
-from kurasync.certify import preset_regular_schedule
+from kurasync.certify import GENERAL_ALPHA_SUP, preset_regular_schedule
 from kurasync.cli import run
+from kurasync.randomgraphs import CERTIFIABLE_VERDICT
 from kurasync.spectral import ExpanderProfile
 
 CYCLE_CAP = "20000"
@@ -372,6 +373,15 @@ def test_er_predict_vacuous_at_realistic_n():
 
     proc = run_cli("er-predict", "--n", "500", "--gamma", "3")
     assert proc.returncode == 2  # eps is required
+
+
+def test_er_predict_exits_0_in_certifiable_range():
+    # alpha_pred = 6 / sqrt(80 log 1e5) = 0.1977, below the 1/5 gate
+    proc = run_cli("er-predict", "--n", "100000", "--gamma", "80", "--eps", "0.1")
+    assert proc.returncode == 0
+    pred = report_from(proc)["prediction"]
+    assert pred["verdict"] == CERTIFIABLE_VERDICT
+    assert pred["alpha_pred"] <= GENERAL_ALPHA_SUP
 
 
 def test_er_predict_gamma_at_window_lower_end_exits_2():

@@ -7,6 +7,7 @@ re-exports of kurasync/__init__.py do not count as a use.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import kurasync
@@ -66,3 +67,12 @@ def test_every_public_definition_is_used_by_the_package():
     assert unused == [], f"public but used by nothing in the package: {unused}"
     # the allowlist names only definitions that exist
     assert UNUSED_OK <= {name for _, name, _ in defs}
+
+
+def test_every_module_export_is_a_package_export():
+    # each name a module lists in __all__, such as the element types of a
+    # report's tuples, can be imported from kurasync itself
+    missing = [f"{mod}.{name}" for mod in _modules()
+               for name in getattr(importlib.import_module(f"kurasync.{mod}"), "__all__", ())
+               if not hasattr(kurasync, name)]
+    assert missing == [], f"in a module's __all__ but not exported by kurasync: {missing}"

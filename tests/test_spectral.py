@@ -22,6 +22,7 @@ from kurasync import (
     ExpanderProfile,
     Graph,
     InputError,
+    NumericalError,
     centered_adjacency_alpha,
     centered_laplacian_extremes,
     check_mixing_bounds,
@@ -373,28 +374,78 @@ def mixing_reports(g, prof, trials, seed):
 @example(gen_random_regular(48, 6, 0), None, 1.0, 0.0, 0.25, 0)
 @example(gen_named("complete", 12), None, 1.0, -1.0, 1.0, 1)
 @example(gen_named("star", 1), None, -1.0, 0.5, 1.0, 2)
-@example(gen_named("complete", 4), 1.5, 1.0, -0.5, 0.25, 0)  # a swap of adjacent vertices
+# d_ref above n, from X = {2, 3}: no flip gains, and a swap of adjacent
+# vertices would gain 2 * (up + down - A) = 2 * (2 - 1 - 1) = 0
+@example(gen_named("complete", 4), 1.5, 1.0, -0.5, 0.25, 0)
 # five disjoint edges: ARPACK restarts from its own seed on this graph
 @example(Graph(36, [(1, 28), (2, 27), (10, 29), (16, 35), (31, 34)]), None, 1.0, 0.0, 0.0, 0)
 def test_mixing_batteries_match_the_frozen_ones(g, d_per_n, sign, theta_scale, density, seed):
-    # d_ref is the average degree, or a free multiple of n: only d_ref >= n
-    # lets a swap gain where no single flip does
+    # d_ref is the average degree, or a free multiple of n. The frozen search
+    # also tries pair swaps, which can gain where no single flip does only
+    # if d_ref >= n, so the two searches must agree below n
     if d_per_n is not None:
         d = d_per_n * g.n
     else:
         d = 2.0 * g.m / g.n if g.m else 1.0
+    below_n = d <= (1.0 - 1e-9) * g.n
     battery = spectral._candidate_battery(g)
     assert all(xs.dtype == np.int64 for xs in battery)
     assert [xs.tolist() for xs in battery] == [sorted(xs) for xs in candidate_battery_reference(g)]
 
     # random 0/1 start and theta; the flips meet many ties in the gains
     x = (np.random.default_rng(seed).random(g.n) < density).astype(np.float64)
-    got = spectral._discrepancy_search(g, d, x, sign, theta_scale * d)
+    theta = theta_scale * d
+    got = spectral._discrepancy_search(g, d, x, sign, theta)
     assert got.dtype == np.int64
-    assert got.tolist() == discrepancy_search_reference(g, d, x, sign, theta_scale * d).tolist()
+    if below_n:
+        assert got.tolist() == discrepancy_search_reference(g, d, x, sign, theta).tolist()
 
-    got, want = mixing_reports(g, expander_profile(g, d_ref=d), 10, seed)
-    assert got == want
+    # at any d_ref the result is a single-flip local optimum: no add, and no
+    # drop that leaves X nonempty, gains more than the search's 1e-12
+    inside = np.zeros(g.n, dtype=bool)
+    inside[got] = True
+    k, s = len(got), dense_adjacency(g) @ inside
+    gain_add = sign * (2.0 * s - (d / g.n) * (2 * k + 1)) - theta
+    gain_drop = sign * (-2.0 * s + (d / g.n) * (2 * k - 1)) + theta
+    best_add = gain_add[~inside].max(initial=-np.inf)
+    best_drop = gain_drop[inside].max(initial=-np.inf)
+    if k > 1:
+        assert max(best_add, best_drop) <= 1e-9
+    else:
+        # with one vertex in X the search also stops where the drop it may
+        # not take outgains the best add
+        assert best_add <= max(best_drop, 0.0) + 1e-9
+
+    if below_n:
+        got, want = mixing_reports(g, expander_profile(g, d_ref=d), 10, seed)
+        assert got == want
+
+
+def test_discrepancy_search_takes_no_swap_step():
+    # d_ref = 2n: from X = {0, 1} no single flip gains, while the frozen
+    # search swaps 0 out for 4 and returns {1, 4}
+    g = Graph(5, [(1, 4)])
+    x = np.zeros(5)
+    assert discrepancy_search_reference(g, 10.0, x, 1.0, -7.0).tolist() == [1, 4]
+    assert spectral._discrepancy_search(g, 10.0, x, 1.0, -7.0).tolist() == [0, 1]
+
+
+def test_mixing_bounds_report_a_failed_adversarial_eigensolve():
+    # a failed extreme eigensolve drops its discrepancy sets from the
+    # check, so the report must name it
+    g = gen_random_regular(48, 6, 0)
+    prof = expander_profile(g)
+    real = spectral._extreme_eigenpair
+
+    def eigenpair(mv, n, which, tol_abs, norm_bound=None):
+        if which == "LA":
+            raise NumericalError("no converged eigenpair")
+        return real(mv, n, which, tol_abs, norm_bound)
+
+    with mock.patch.object(spectral, "_extreme_eigenpair", eigenpair):
+        rep = check_mixing_bounds(g, prof, trials=10, seed=0)
+    assert rep.skipped == ("adversarial_LA",)
+    assert rep.to_json_dict()["skipped"] == ["adversarial_LA"]
 
 
 def subset_counts(g):
