@@ -23,7 +23,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -63,6 +62,8 @@ from .spectral import (
 
 SYNC_RHO = 1.0 - 1e-6
 NAMED_FAMILIES = ("cycle", "path", "complete", "star", "two_cliques_bridged")
+# the seeded families NAME:N,X: their generator, the type of X and its label
+SAMPLED_FAMILIES = {"er": (gen_erdos_renyi, float, "P"), "regular": (gen_random_regular, int, "D")}
 EIGEN_TOL_HELP = ("eigensolver residual bound on the profile's alpha, c_minus and c_plus, "
                   "in units of d_ref (default 1e-8)")
 
@@ -154,7 +155,6 @@ def build_parser():
     p.add_argument("--gamma", type=float)
     p.add_argument("--eps", type=float)
     p.add_argument("--samples", type=int)
-    p.add_argument("--workers", type=int)
     return top
 
 
@@ -223,28 +223,20 @@ def _parse_gen_spec(spec, seed):
         except ValueError:
             raise InputError(f"generator {name} needs an integer size, got {rest!r}")
         return gen_named(name, n)
-    if name == "er":
+    if name in SAMPLED_FAMILIES:
+        gen, kind, label = SAMPLED_FAMILIES[name]
         parts = rest.split(",")
         if len(parts) != 2:
-            raise InputError(f"er spec must be er:N,P, got {spec!r}")
+            raise InputError(f"{name} spec must be {name}:N,{label}, got {spec!r}")
         try:
-            n, p = int(parts[0]), float(parts[1])
+            n, x = int(parts[0]), kind(parts[1])
         except ValueError:
-            raise InputError(f"er spec needs an integer N and a number P, got {spec!r}") from None
+            what = "a number" if kind is float else "an integer"
+            raise InputError(f"{name} spec needs an integer N and {what} {label}, "
+                             f"got {spec!r}") from None
         if seed is None:
-            raise InputError("--seed is required for er generation")
-        return gen_erdos_renyi(n, p, seed)
-    if name == "regular":
-        parts = rest.split(",")
-        if len(parts) != 2:
-            raise InputError(f"regular spec must be regular:N,D, got {spec!r}")
-        try:
-            n, d = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise InputError(f"regular spec needs integers N and D, got {spec!r}") from None
-        if seed is None:
-            raise InputError("--seed is required for regular generation")
-        return gen_random_regular(n, d, seed)
+            raise InputError(f"--seed is required for {name} generation")
+        return gen(n, x, seed)
     raise InputError(f"unknown generator {name!r}")
 
 
@@ -448,7 +440,6 @@ def _sweep_er_sample(cfg):
     eps = _require(cfg, "eps", "for er sampling")
     seed = _require(cfg, "seed", "for er sampling")
     samples = _count(cfg, "samples", 10, 1)
-    workers = _count(cfg, "workers", 1, 1)
     pred = er_prediction(n, gamma, eps)
 
     def one(s):
@@ -457,12 +448,7 @@ def _sweep_er_sample(cfg):
         d_min, d_max = degree_extrema(g)
         return (s, prof.alpha, prof.c_minus, prof.c_plus, d_min, d_max)
 
-    seeds = [seed + i for i in range(samples)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, seeds))
-    else:
-        rows = [one(s) for s in seeds]
+    rows = [one(seed + i) for i in range(samples)]
     inside = sum(
         1 for r in rows
         if pred.c_minus_eps - 1e-12 <= r[2] and r[3] <= pred.c_plus_eps + 1e-12
@@ -482,7 +468,7 @@ def _sweep_er_sample(cfg):
 _SWEEPS = {
     "gamma-roots": (_sweep_gamma_roots, ("lo", "hi", "points")),
     "alpha-condition": (_sweep_alpha_condition, ("lo", "hi", "points")),
-    "er-sample": (_sweep_er_sample, ("n", "gamma", "eps", "seed", "samples", "workers")),
+    "er-sample": (_sweep_er_sample, ("n", "gamma", "eps", "seed", "samples")),
 }
 
 

@@ -76,6 +76,11 @@ def _check_state(g, theta):
     return theta
 
 
+def _check_grad_tol(grad_tol):
+    if not 0.0 < grad_tol < np.inf:
+        raise InputError(f"grad_tol must be finite and positive, got {grad_tol}")
+
+
 def _check_block(g, thetas):
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 2 or thetas.shape[1] != g.n:
@@ -260,8 +265,7 @@ def _integrate(g, theta, grad_tol, step_cap, out, first, path=None):
 def _flow_rows(g, thetas, grad_tol, step_cap, path=None):
     """flow_batch's finals of a checked (R, n) block, one memory-bounded
     block of rows after another; path goes to _integrate."""
-    if not 0.0 < grad_tol < np.inf:
-        raise InputError(f"grad_tol must be finite and positive, got {grad_tol}")
+    _check_grad_tol(grad_tol)
     r = len(thetas)
     out = FlowBatch(np.empty_like(thetas), np.zeros(r, dtype=np.int64),
                     np.empty(r, dtype=_EXITS.dtype), np.empty(r), np.empty(r), np.empty(r))
@@ -401,8 +405,7 @@ def classify_equilibrium(g, theta, grad_tol=GRAD_TOL):
     an eigenvalue of the restricted Hessian, or NumericalError is raised.
     Smaller states take an exact dense eigensolve.
     """
-    if not 0.0 < grad_tol < np.inf:
-        raise InputError(f"grad_tol must be finite and positive, got {grad_tol}")
+    _check_grad_tol(grad_tol)
     theta = _check_state(g, theta)
     eig_tol = 1e-8 * max(int(g.degrees.max()), 1)
     gn = float(np.max(np.abs(gradient(g, theta))))

@@ -12,7 +12,6 @@ import itertools
 import math
 import os
 import re
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -203,10 +202,7 @@ _ER_SPLIT_PAIRS = 1 << 22
 
 
 def _usable_cpus():
-    """CPUs a G(n, p) draw on this thread may use: one off the main thread,
-    whose siblings (a sweep's pool workers, say) already share the CPUs."""
-    if threading.current_thread() is not threading.main_thread():
-        return 1
+    """CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
@@ -228,7 +224,6 @@ def gen_erdos_renyi(n, p, seed):
     pair (PCG64 spends one 64-bit output per double), so every pair still
     gets the uniform of the one-thread stream. All buffers are allocated
     on the calling thread, and the worker calls no other package function.
-    Only the main thread splits its draw.
     """
     if not (0.0 <= p <= 1.0):
         raise InputError(f"edge probability must lie in [0, 1], got {p}")

@@ -161,6 +161,16 @@ def gamma_roots_eps(gamma, eps):
     return c_minus, c_plus
 
 
+def _log_n_and_p(n, gamma):
+    """(log n, p = gamma log n / n); an n with no float value has no p."""
+    try:
+        float(n)
+    except OverflowError:
+        raise InputError(f"need n <= {sys.float_info.max:.6g}, got a larger integer") from None
+    logn = math.log(n)
+    return logn, gamma * logn / n
+
+
 def er_failure_probability(n, gamma, eps):
     """Explicit bound on the probability that G(n, p) misses its profile.
 
@@ -173,8 +183,7 @@ def er_failure_probability(n, gamma, eps):
     if n < 3:
         raise InputError(f"need n >= 3, got {n}")
     c_minus, c_plus = gamma_roots_eps(gamma, eps)
-    logn = math.log(n)
-    p = gamma * logn / n
+    logn, p = _log_n_and_p(n, gamma)
     if (c_minus + eps) == 0.0 or (c_plus - eps) <= 0.0:
         return 1.0
     k_plus = math.ceil((1.0 + c_plus - eps) * gamma * logn)
@@ -215,8 +224,7 @@ def er_prediction(n, gamma, eps):
     """
     if not (isinstance(n, (int,)) and n >= 3):
         raise InputError(f"need integer n >= 3, got {n!r}")
-    logn = math.log(n)
-    p = gamma * logn / n
+    logn, p = _log_n_and_p(n, gamma)
     if p > 1.0:
         raise DomainError(f"gamma * log n / n = {p:.4f} exceeds 1 at n={n}")
     c_minus, c_plus = gamma_roots(gamma)

@@ -4,8 +4,10 @@ Exit status contract: 0 success/pass, 1 fail verdict, 2 usage or input
 error. Reports must be reproducible modulo the provenance timestamp.
 """
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -40,7 +42,7 @@ from kurasync import (
 )
 from kurasync import graphs
 from kurasync.certify import GENERAL_ALPHA_SUP, preset_regular_schedule
-from kurasync.cli import run
+from kurasync.cli import _subcommand_flags, build_parser, run
 from kurasync.randomgraphs import CERTIFIABLE_VERDICT
 from kurasync.spectral import ExpanderProfile
 
@@ -392,6 +394,16 @@ def test_er_predict_gamma_at_window_lower_end_exits_2():
         proc.stderr
 
 
+def test_n_too_large_for_a_float_exits_2():
+    huge = "1" + "0" * 400
+    for args in (["er-predict", "--n", huge, "--gamma", "3", "--eps", "0.25"],
+                 ["sweep", "--kind", "er-sample", "--n", huge, "--gamma", "3", "--eps", "0.25",
+                  "--seed", "1", "--samples", "1"]):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, proc.stderr
+
+
 def test_sweep_gamma_roots(tmp_path):
     out = tmp_path / "run"
     proc = run_cli("sweep", "--kind", "gamma-roots", "--lo", "1.5", "--hi", "3.0",
@@ -422,9 +434,8 @@ def test_sweep_rejects_options_its_kind_does_not_read(tmp_path):
                       "--samples", "1"],
     }
     unread = {
-        "gamma-roots": {"n": 7, "gamma": 3.0, "eps": 0.25, "seed": 5, "samples": 9,
-                        "workers": 4},
-        "alpha-condition": {"n": 7, "seed": 5, "workers": 4},
+        "gamma-roots": {"n": 7, "gamma": 3.0, "eps": 0.25, "seed": 5, "samples": 9},
+        "alpha-condition": {"n": 7, "seed": 5},
         "er-sample": {"lo": 1.5, "hi": 3.0, "points": 3},
     }
     path = tmp_path / "cfg.json"
@@ -437,7 +448,7 @@ def test_sweep_rejects_options_its_kind_does_not_read(tmp_path):
                 assert proc.stderr.startswith("error:") and f"--{key}" in proc.stderr, \
                     proc.stderr
     # a null config value leaves the option unset
-    path.write_text(json.dumps({"workers": None}), encoding="utf-8")
+    path.write_text(json.dumps({"samples": None}), encoding="utf-8")
     proc = run_cli("sweep", "--kind", "gamma-roots", "--points", "3", "--config", str(path))
     assert proc.returncode == 0, proc.stderr
 
@@ -445,19 +456,11 @@ def test_sweep_rejects_options_its_kind_does_not_read(tmp_path):
 def test_sweep_er_sample(tmp_path):
     base = ["sweep", "--kind", "er-sample", "--n", "200", "--gamma", "3",
             "--eps", "0.25", "--seed", "1", "--samples", "3"]
-    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
-    assert run_cli(*base, "--out", str(serial)).returncode == 0
-    rep = report_from_dir(serial)
+    assert run_cli(*base, "--out", str(tmp_path)).returncode == 0
+    rep = report_from_dir(tmp_path)
     assert rep["samples"] == 3
     assert 0 <= rep["profiles_inside_certified_window"] <= 3
     assert rep["mean_measured_alpha"] > 0.0
-    # the worker pool changes nothing but the echoed option
-    assert run_cli(*base, "--workers", "2", "--out", str(pooled)).returncode == 0
-    rep_pooled = report_from_dir(pooled)
-    for r in (rep, rep_pooled):
-        del r["provenance"], r["config"]
-    assert rep_pooled == rep
-    assert (pooled / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
 
 
 def split_er_sampler(monkeypatch):
@@ -472,21 +475,16 @@ ER_SPLIT_SWEEP = ["sweep", "--kind", "er-sample", "--n", "300", "--gamma", "3", 
                   "--seed", "4", "--samples", "3"]
 
 
-def test_sweep_workers_nest_with_split_sampler(tmp_path, monkeypatch):
+def test_sweep_with_split_sampler_matches_one_thread_sweep(tmp_path, monkeypatch):
     split_er_sampler(monkeypatch)
-    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
-    rep = run([*ER_SPLIT_SWEEP, "--workers", "1", "--out", str(serial)]).report
-    rep_pooled = run([*ER_SPLIT_SWEEP, "--workers", "2", "--out", str(pooled)]).report
-    for r in (rep, rep_pooled):
-        del r["provenance"], r["config"]["workers"]
-    assert rep_pooled == rep
-    assert (pooled / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+    split, one = tmp_path / "split", tmp_path / "one"
+    rep = run([*ER_SPLIT_SWEEP, "--out", str(split)]).report
     monkeypatch.undo()
-    one = tmp_path / "one"
     rep_one = run([*ER_SPLIT_SWEEP, "--out", str(one)]).report
-    del rep_one["provenance"]
+    for r in (rep, rep_one):
+        del r["provenance"]
     assert rep_one == rep
-    assert (one / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+    assert (one / "sweep.csv").read_bytes() == (split / "sweep.csv").read_bytes()
 
 
 def test_split_sampler_keeps_tracer_spans_on_one_thread(monkeypatch):
@@ -536,7 +534,7 @@ def test_split_sampler_keeps_tracer_spans_on_one_thread(monkeypatch):
 
 
 # each count option with a value just below its lower limit (or at it, which
-# runs): runs, points, samples and workers >= 1; step_cap and trials >= 0
+# runs): runs, points and samples >= 1; step_cap and trials >= 0
 SIM = ["simulate", "--gen", "cycle:10", "--seed", "0"]
 ER_SAMPLE = ["sweep", "--kind", "er-sample", "--n", "200", "--gamma", "3", "--eps", "0.25",
              "--seed", "1"]
@@ -550,8 +548,6 @@ COUNT_CASES = [
     (["sweep", "--kind", "alpha-condition"], "points", 0, 2),
     (ER_SAMPLE, "samples", 0, 2),
     (ER_SAMPLE, "samples", -1, 2),
-    ([*ER_SAMPLE, "--samples", "1"], "workers", 0, 2),
-    ([*ER_SAMPLE, "--samples", "1"], "workers", -2, 2),
     (["profile", "--gen", "cycle:10", "--seed", "0"], "trials", -1, 2),
     (["profile", "--gen", "cycle:10", "--seed", "0"], "trials", 0, 0),
 ]
@@ -671,6 +667,8 @@ REMOVED_OPTIONS = [
     ("er-predict", "seed", PREDICT_ARGS),
     ("er-predict", "tol", PREDICT_ARGS),
     ("sweep", "tol", ["--kind", "gamma-roots", "--points", "3"]),
+    ("sweep", "workers", ["--kind", "er-sample", "--n", "200", "--gamma", "3", "--eps", "0.25",
+                          "--seed", "1", "--samples", "1"]),
 ]
 
 
@@ -713,7 +711,7 @@ def test_config_file_merging(tmp_path):
         assert proc.returncode == 2, (command, cfg_obj, proc.stderr)
         assert proc.stderr.startswith("error:") and repr(named) in proc.stderr, proc.stderr
 
-    # a subcommand that never reads --seed or --tol takes neither as a key
+    # an option a subcommand does not have is not a key either
     for command, key, args in REMOVED_OPTIONS:
         path.write_text(json.dumps({key: 1}), encoding="utf-8")
         proc = run_cli(command, "--config", str(path), *args)
@@ -808,6 +806,30 @@ def test_usage_errors_exit_2(tmp_path):
         proc = run_cli(command, *args, f"--{key}", "1")
         assert proc.returncode == 2, (command, key)
         assert f"unrecognized arguments: --{key}" in proc.stderr, proc.stderr
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_names_only_existing_flags():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    # _subcommand_flags leaves out --config, which every subcommand takes
+    flags = {"--config"} | {s for c in sub.choices
+                            for a in _subcommand_flags(parser, c).values()
+                            for s in a.option_strings}
+    text = README.read_text(encoding="utf-8")
+    # backticked flags, alone or after a subcommand (not `pip install ... --x`)
+    spans = [span.split() for span in re.findall(r"`([^`\n]+)`", text)]
+    named = {w for words in spans if words[0] in sub.choices or words[0].startswith("--")
+             for w in words if w.startswith("--")}
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = [line.split()[1:] for line in block.splitlines() if line.startswith("kurasync ")]
+    assert len(lines) == 8
+    for argv in lines:
+        named.update(a for a in argv if a.startswith("--"))
+        parser.parse_args(argv)
+    assert named and named <= flags, sorted(named - flags)
 
 
 def test_version_flag():

@@ -503,30 +503,6 @@ def test_erdos_renyi_split_seed_kinds_agree(monkeypatch):
     assert [r[:2] for r in runs] == [(0, len(iu))]
 
 
-def test_erdos_renyi_draws_on_one_thread_off_the_main_thread(monkeypatch):
-    # a sweep's pool worker draws alone; the main thread still splits
-    monkeypatch.setattr(graphs, "_ER_SPLIT_PAIRS", 0)
-    monkeypatch.setattr(graphs, "_ER_BLOCK", 64)
-    monkeypatch.setattr(graphs.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    pools = []
-    executor = graphs.ThreadPoolExecutor
-
-    def counting_executor(*args, **kwargs):
-        pools.append(threading.get_ident())
-        return executor(*args, **kwargs)
-
-    monkeypatch.setattr(graphs, "ThreadPoolExecutor", counting_executor)
-    want_u, want_v = er_edges_reference(40, 0.2, 2)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        futures = [pool.submit(gen_erdos_renyi, 40, 0.2, 2) for _ in range(4)]
-        got = [f.result(timeout=60).edge_arrays() for f in futures]
-    assert all(np.array_equal(eu, want_u) and np.array_equal(ev, want_v) for eu, ev in got)
-    assert pools == []
-    eu, ev = gen_erdos_renyi(40, 0.2, 2).edge_arrays()
-    assert np.array_equal(eu, want_u) and np.array_equal(ev, want_v)
-    assert pools == [threading.get_ident()]
-
-
 def test_erdos_renyi_edge_buffer_grows(monkeypatch):
     # an edge buffer that starts at 16 entries has to grow many times over
     n, p, seed = 300, 0.05, 4

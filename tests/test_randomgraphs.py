@@ -225,6 +225,13 @@ def test_er_prediction_fields_and_verdict():
         er_prediction(3, 3.0, 0.5)  # p above 1
 
 
+def test_n_without_a_float_value_is_an_input_error():
+    # p = gamma log n / n would raise OverflowError
+    for call in (er_prediction, er_failure_probability):
+        with pytest.raises(InputError, match="larger integer"):
+            call(10 ** 400, 3.0, 0.25)
+
+
 def test_chernoff_degree_bound_formula():
     for n, gamma, eps in [(100, 3.0, 0.5), (5000, 30.0, 0.5), (10, 1.0, 3.0)]:
         expect = min(1.0, 2.0 * n ** (1.0 - eps * eps * gamma / 3.0))
