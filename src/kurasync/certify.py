@@ -472,20 +472,18 @@ def amplification_run(profile, schedule=None, mode="numeric"):
     )
 
 
-def max_alpha_regular(schedule, lo, hi, tol=1e-5):
+def max_alpha_regular(schedule, lo, hi, tol=1e-5, mode="numeric"):
     """Largest alpha in [lo, hi] (bisection to tol) certified for the
     regular-shape profile (alpha, -alpha, alpha).
 
-    With an explicit schedule the run is numeric; with schedule None the
-    aggregate paper_proof replay is used. The pass region is assumed to be
-    an interval, verified by requiring a pass at lo and a fail at hi.
+    Each alpha is run as amplification_run(profile, schedule, mode). The
+    pass region is assumed to be an interval, verified by requiring a pass
+    at lo and a fail at hi.
     """
     if not (0.0 <= lo < hi < math.inf):
         raise InputError(f"need 0 <= lo < hi < inf, got lo={lo}, hi={hi}")
     if not 0.0 < tol < math.inf:
         raise InputError(f"tol must be finite and positive, got {tol}")
-
-    mode = "paper_proof" if schedule is None else "numeric"
 
     def passes(a):
         prof = ExpanderProfile(n=1, d_ref=1.0, alpha=a, c_minus=-a, c_plus=a)

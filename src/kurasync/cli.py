@@ -64,6 +64,8 @@ SYNC_RHO = 1.0 - 1e-6
 NAMED_FAMILIES = ("cycle", "path", "complete", "star", "two_cliques_bridged")
 # the seeded families NAME:N,X: their generator, the type of X and its label
 SAMPLED_FAMILIES = {"er": (gen_erdos_renyi, float, "P"), "regular": (gen_random_regular, int, "D")}
+SCHEDULE_HELP = ("JSON amplification schedule path (default: the built-in preset in numeric "
+                 "mode, the aggregate proof in paper-proof mode)")
 EIGEN_TOL_HELP = ("eigensolver residual bound on the profile's alpha, c_minus and c_plus, "
                   "in units of d_ref (default 1e-8)")
 
@@ -114,7 +116,7 @@ def build_parser():
     p.add_argument("--seed", type=int, help=seed_help)
     p.add_argument("--tol", type=float, help=EIGEN_TOL_HELP)
     p.add_argument("--profile", help="load a saved profile JSON instead of measuring a graph")
-    p.add_argument("--schedule", help="JSON amplification schedule path")
+    p.add_argument("--schedule", help=SCHEDULE_HELP)
     p.add_argument("--mode", choices=["paper-proof", "numeric"], help="amplification mode")
 
     p = sub.add_parser("simulate", help="integrate the gradient flow from random states")
@@ -133,7 +135,7 @@ def build_parser():
     common(p)
     p.add_argument("--tol", type=float,
                    help="bracket width at which bisection stops (default 1e-5)")
-    p.add_argument("--schedule", help="JSON amplification schedule path (default: built-in preset)")
+    p.add_argument("--schedule", help=SCHEDULE_HELP)
     p.add_argument("--mode", choices=["paper-proof", "numeric"], help="amplification mode")
     p.add_argument("--lo", type=float, help="bracket lower end (default 0.001)")
     p.add_argument("--hi", type=float, help="bracket upper end (default 0.25)")
@@ -295,6 +297,17 @@ def _cmd_profile(cfg):
     return report, status, {"profile.json": prof.save}
 
 
+def _replay(path, mode):
+    """(schedule, engine mode, report label) of an amplification run in the
+    command-line mode: the schedule file at path if one is given, else the
+    preset in numeric mode and None, the aggregate proof, in paper-proof mode."""
+    if path:
+        return Schedule.load(path), mode.replace("-", "_"), str(path)
+    if mode == "numeric":
+        return preset_regular_schedule(), "numeric", "preset"
+    return None, "paper_proof", "auto"
+
+
 def _cmd_certify(cfg):
     if sum(key in cfg for key in ("graph", "gen", "profile")) != 1:
         raise InputError("exactly one of --graph, --gen, --profile is required")
@@ -309,12 +322,9 @@ def _cmd_certify(cfg):
         g, src = _load_graph(cfg)
         prof = _measure_profile(g, cfg)
         report = {"graph": _graph_summary(g) | src, "profile": prof.to_json_dict()}
-    mode = cfg.get("mode", "paper-proof")
-    schedule = Schedule.load(cfg["schedule"]) if cfg.get("schedule") else None
-    if mode == "numeric" and schedule is None:
-        raise InputError("--mode numeric needs --schedule")
+    schedule, mode, _ = _replay(cfg.get("schedule"), cfg.get("mode", "paper-proof"))
     closed = theorem_condition(prof)
-    trace = amplification_run(prof, schedule, mode=mode.replace("-", "_"))
+    trace = amplification_run(prof, schedule, mode=mode)
     report["closed_form"] = closed.to_json_dict()
     report["amplification"] = trace.to_json_dict()
     report["verdict"] = trace.verdict
@@ -367,26 +377,15 @@ def _cmd_simulate(cfg):
 
 
 def _cmd_threshold(cfg):
-    paper_proof = cfg.get("mode") == "paper-proof"
-    if cfg.get("schedule"):
-        if paper_proof:
-            raise InputError("--mode paper-proof takes no --schedule: a schedule is replayed "
-                             "in numeric mode only")
-        schedule = Schedule.load(cfg["schedule"])
-        schedule_desc = str(cfg["schedule"])
-    elif paper_proof:
-        schedule = None
-        schedule_desc = "auto"
-    else:
-        schedule = preset_regular_schedule()
-        schedule_desc = "preset"
+    mode = cfg.get("mode", "numeric")
+    schedule, engine_mode, label = _replay(cfg.get("schedule"), mode)
     lo, hi, tol = cfg.get("lo", 0.001), cfg.get("hi", 0.25), cfg.get("tol", 1e-5)
-    value = max_alpha_regular(schedule, lo, hi, tol=tol)
+    value = max_alpha_regular(schedule, lo, hi, tol=tol, mode=engine_mode)
     report = {
         "max_alpha": value,
         "bracket": {"lo": lo, "hi": hi, "tol": tol},
-        "schedule": schedule_desc,
-        "mode": "paper-proof" if schedule is None else "numeric",
+        "schedule": label,
+        "mode": mode,
         "min_ramanujan_degree": min_ramanujan_degree(value),
     }
     return report, 0, {}
@@ -403,8 +402,9 @@ def _cmd_er_predict(cfg):
 
 def _sweep_gamma_roots(cfg):
     lo, hi = cfg.get("lo", 1.001), cfg.get("hi", 10.0)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InputError(f"--lo and --hi must be finite, got lo={lo}, hi={hi}")
+    # both ends must lie in gamma_roots' domain before geomspace runs
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo > 1.0 and hi > 1.0):
+        raise InputError(f"--lo and --hi must be finite and above 1, got lo={lo}, hi={hi}")
     points = _count(cfg, "points", 50, 1)
     rows = [(float(gamma), *gamma_roots(float(gamma))) for gamma in np.geomspace(lo, hi, points)]
     report = {

@@ -31,6 +31,18 @@ __all__ = [
 ]
 
 
+# the most vertices a graph may have: its edges are keyed u * n + v < n^2
+# in int64, so n^2 may not exceed 2^63 - 1
+_MAX_VERTICES = math.isqrt(2**63 - 1)
+
+
+def _check_vertex_count(n):
+    """Raise InputError for an n too large to key its edges in int64,
+    before anything of size n is allocated."""
+    if n > _MAX_VERTICES:
+        raise InputError(f"vertex count {n} exceeds the largest supported, {_MAX_VERTICES}")
+
+
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1.
 
@@ -45,6 +57,7 @@ class Graph:
     def __init__(self, n, edges):
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise InputError(f"vertex count must be a positive integer, got {n!r}")
+        _check_vertex_count(n)
         n = int(n)
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
@@ -159,6 +172,7 @@ def gen_named(family, n):
     single edge (n/2 - 1, n/2); it requires even n >= 4. Cycles require
     n >= 3; the rest accept any n >= 1.
     """
+    _check_vertex_count(n)
     if family == "cycle":
         if n < 3:
             raise InputError(f"cycle needs n >= 3, got {n}")
@@ -199,6 +213,8 @@ _ER_SIGMAS = 6.0
 # from this many pairs on, gen_erdos_renyi draws the second half of the
 # stream on a worker thread; below it a thread costs more than it saves
 _ER_SPLIT_PAIRS = 1 << 22
+# full restarts of the pairing before gen_random_regular gives up
+_MAX_RESTARTS = 10000
 
 
 def _usable_cpus():
@@ -229,6 +245,7 @@ def gen_erdos_renyi(n, p, seed):
         raise InputError(f"edge probability must lie in [0, 1], got {p}")
     if n < 1:
         raise InputError(f"vertex count must be >= 1, got {n}")
+    _check_vertex_count(n)
     rng = np.random.default_rng(seed)
     offsets = np.zeros(n, dtype=np.int64)
     np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=offsets[1:])
@@ -295,7 +312,7 @@ def _er_run(rng, p, start, stop, u, mask, hits):
     return hits, count
 
 
-def gen_random_regular(n, d, seed, max_restarts=10000):
+def gen_random_regular(n, d, seed):
     """Random d-regular simple graph via the pairing (configuration) model.
 
     Stubs are shuffled and matched in rounds: the pending stubs pair up as
@@ -320,6 +337,7 @@ def gen_random_regular(n, d, seed, max_restarts=10000):
     """
     if n < 1 or d < 0:
         raise InputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
+    _check_vertex_count(n)
     if (n * d) % 2:
         raise InputError(f"n*d must be even, got n={n}, d={d}")
     if d >= n:
@@ -329,7 +347,7 @@ def gen_random_regular(n, d, seed, max_restarts=10000):
     if d == n - 1:
         return gen_named("complete", n)
     rng = np.random.default_rng(seed)
-    for _ in range(max_restarts):
+    for _ in range(_MAX_RESTARTS):
         pending = np.repeat(np.arange(n, dtype=np.int64), d)
         rng.shuffle(pending)
         # sorted keys of the accepted pairs; the stub count stays even, as
@@ -374,7 +392,7 @@ def gen_random_regular(n, d, seed, max_restarts=10000):
             eu = present // n
             return Graph._from_sorted_pairs(n, eu, np.remainder(present, n, out=present))
     raise GenerationError(
-        f"no simple {d}-regular pairing on {n} vertices in {max_restarts} restarts"
+        f"no simple {d}-regular pairing on {n} vertices in {_MAX_RESTARTS} restarts"
     )
 
 
@@ -478,6 +496,7 @@ def read_edge_list(path):
             n, m = int(head[0]), int(head[1])
             if n < 1:
                 raise InputError(f"vertex count must be a positive integer, got {n}")
+            _check_vertex_count(n)
             pairs = np.empty((0, 2), dtype=np.int64)
             first = _next_nonblank(fh)
             if first:

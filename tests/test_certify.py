@@ -467,19 +467,22 @@ def test_max_alpha_regular_brackets():
     assert v == pytest.approx(0.08217163085937501, abs=1e-12)
     assert v >= 0.0816
 
-    auto = max_alpha_regular(None, 0.001, 0.01)
+    auto = max_alpha_regular(None, 0.001, 0.01, mode="paper_proof")
     assert auto == pytest.approx(0.00314453125, abs=1e-12)
+    # the aggregate proof has no numeric replay, as in amplification_run
+    with pytest.raises(InputError, match="numeric mode needs an explicit schedule"):
+        max_alpha_regular(None, 0.001, 0.01)
 
     with pytest.raises(BracketError):
         max_alpha_regular(preset_regular_schedule(), 0.2, 0.25)
     with pytest.raises(BracketError):
         max_alpha_regular(preset_regular_schedule(), 0.01, 0.05)
     with pytest.raises(InputError):
-        max_alpha_regular(None, 0.05, 0.01)
+        max_alpha_regular(None, 0.05, 0.01, mode="paper_proof")
     # an infinite tol would return lo, the bracket's end, as the answer
     for tol in (0.0, math.inf, math.nan):
         with pytest.raises(InputError, match="tol must be finite and positive"):
-            max_alpha_regular(None, 0.001, 0.01, tol=tol)
+            max_alpha_regular(None, 0.001, 0.01, tol=tol, mode="paper_proof")
     # both ends must be finite: [lo, inf) would be halved forever
     for lo, hi in ((0.001, math.inf), (0.001, math.nan), (math.nan, 0.25), (-math.inf, 0.25)):
         with pytest.raises(InputError, match="lo < hi < inf"):

@@ -1,7 +1,11 @@
-"""End-to-end command-line runs via subprocess.
+"""End-to-end command-line runs, via subprocess or in process.
 
 Exit status contract: 0 success/pass, 1 fail verdict, 2 usage or input
 error. Reports must be reproducible modulo the provenance timestamp.
+The subprocess runs (run_cli) go through the `python -m kurasync.cli`
+entry; the in-process ones (the main_cli fixture) through cli.main(),
+without the interpreter start-up. In-process runs share ARPACK's
+start-vector seed, so none compares eigenvector-dependent output.
 """
 
 import argparse
@@ -42,7 +46,7 @@ from kurasync import (
 )
 from kurasync import graphs
 from kurasync.certify import GENERAL_ALPHA_SUP, preset_regular_schedule
-from kurasync.cli import _subcommand_flags, build_parser, run
+from kurasync.cli import _subcommand_flags, build_parser, main, run
 from kurasync.randomgraphs import CERTIFIABLE_VERDICT
 from kurasync.spectral import ExpanderProfile
 
@@ -59,6 +63,19 @@ def run_cli(*args, cwd=None, timeout=600):
         [sys.executable, "-m", "kurasync.cli", *args],
         capture_output=True, text=True, cwd=cwd, timeout=timeout, env=CLI_ENV,
     )
+
+
+@pytest.fixture
+def main_cli(capsys, monkeypatch):
+    """Runs `kurasync ARGS` through cli.main() in this process, returned as
+    run_cli returns it: the exit status is main()'s SystemExit code."""
+    def call(*args):
+        monkeypatch.setattr(sys, "argv", ["kurasync", *args])
+        with pytest.raises(SystemExit) as stop:
+            main()
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(args, stop.value.code, out, err)
+    return call
 
 
 def report_from(proc):
@@ -174,9 +191,6 @@ def test_certify_requires_exactly_one_source(tmp_path):
     proc = run_cli("certify", "--gen", "cycle:5", "--profile", str(prof_path))
     assert proc.returncode == 2
 
-    proc = run_cli("certify", "--gen", "cycle:5", "--mode", "numeric")
-    assert proc.returncode == 2  # numeric without schedule
-
     # a saved profile carries its own tol, and there is no graph to sample
     cfg = tmp_path / "cfg.json"
     for key, value in (("tol", 0.5), ("seed", 9)):
@@ -185,6 +199,19 @@ def test_certify_requires_exactly_one_source(tmp_path):
             proc = run_cli("certify", "--profile", str(prof_path), *args)
             assert proc.returncode == 2, (args, proc.stderr)
             assert proc.stderr.startswith("error:") and f"--{key}" in proc.stderr, proc.stderr
+
+
+def test_certify_numeric_without_schedule_replays_the_preset(tmp_path):
+    path = tmp_path / "preset.json"
+    preset_regular_schedule().save(path)
+    argv = ["certify", "--gen", "regular:600,120", "--seed", "7", "--mode", "numeric"]
+    bare, given = run(argv), run([*argv, "--schedule", str(path)])
+    assert bare.exit_status == given.exit_status
+    assert bare.report["amplification"]["mode"] == "numeric"
+    assert given.report["config"] == bare.report["config"] | {"schedule": str(path)}
+    for rep in (bare.report, given.report):
+        del rep["provenance"], rep["config"]
+    assert bare.report == given.report
 
 
 def test_simulate_cycle_finds_twisted_states(tmp_path):
@@ -343,6 +370,11 @@ def test_unbounded_tolerance_exits_2(tmp_path):
          "--lo and --hi must be finite"),
         (["sweep", "--kind", "gamma-roots", "--points", "3", "--lo", "nan"],
          "--lo and --hi must be finite"),
+        # geomspace takes no zero end, and gamma_roots no gamma up to 1
+        (["sweep", "--kind", "gamma-roots", "--points", "3", "--lo", "0", "--hi", "3"],
+         "--lo and --hi must be finite"),
+        (["sweep", "--kind", "gamma-roots", "--points", "3", "--hi", "0"],
+         "--lo and --hi must be finite"),
     ]:
         proc = run_cli(*args, timeout=60)
         assert proc.returncode == 2, (args, proc.stderr)
@@ -350,14 +382,26 @@ def test_unbounded_tolerance_exits_2(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
-def test_threshold_rejects_schedule_in_paper_proof_mode(tmp_path):
-    # an explicit schedule is replayed in numeric mode only, so asking for
-    # paper-proof as well is a conflict, not a silent switch of mode
+def test_threshold_replays_schedule_in_paper_proof_mode(tmp_path):
+    # a given schedule is replayed in the mode asked for, as certify does
     path = tmp_path / "schedule.json"
     preset_regular_schedule().save(path)
     proc = run_cli("threshold", "--schedule", str(path), "--mode", "paper-proof")
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error:"), proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    rep = report_from(proc)
+    assert rep["mode"] == "paper-proof" and rep["schedule"] == str(path)
+    assert rep["max_alpha"] == 0.061646636962890626
+    assert rep["min_ramanujan_degree"] == 1052
+    # the same bisection of the engine, called directly
+    lo, hi = 0.001, 0.25
+    while hi - lo > 1e-5:
+        mid = 0.5 * (lo + hi)
+        prof = ExpanderProfile(n=1, d_ref=1.0, alpha=mid, c_minus=-mid, c_plus=mid)
+        if amplification_run(prof, preset_regular_schedule(), "paper_proof").verdict == "pass":
+            lo = mid
+        else:
+            hi = mid
+    assert rep["max_alpha"] == lo
     proc = run_cli("threshold", "--schedule", str(path), "--mode", "numeric",
                    "--lo", "0.07", "--hi", "0.09")
     assert proc.returncode == 0
@@ -404,6 +448,20 @@ def test_n_too_large_for_a_float_exits_2():
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, proc.stderr
 
 
+def test_n_beyond_the_edge_key_range_exits_2(main_cli):
+    # edges are keyed u * n + v in int64, so n may not exceed isqrt(2^63 - 1)
+    huge = "1" + "0" * 20
+    for args in (["generate", "--gen", f"er:{huge},0.1", "--seed", "1"],
+                 ["generate", "--gen", f"cycle:{huge}"],
+                 ["generate", "--gen", f"regular:{huge},3", "--seed", "1"],
+                 ["sweep", "--kind", "er-sample", "--n", huge, "--gamma", "3", "--eps", "0.25",
+                  "--seed", "1", "--samples", "1"]):
+        proc = main_cli(*args)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, proc.stderr
+        assert "exceeds the largest supported" in proc.stderr, proc.stderr
+
+
 def test_sweep_gamma_roots(tmp_path):
     out = tmp_path / "run"
     proc = run_cli("sweep", "--kind", "gamma-roots", "--lo", "1.5", "--hi", "3.0",
@@ -426,7 +484,7 @@ def test_sweep_alpha_condition():
     assert 0 < rep["passes"] < 40  # condition flips somewhere inside
 
 
-def test_sweep_rejects_options_its_kind_does_not_read(tmp_path):
+def test_sweep_rejects_options_its_kind_does_not_read(tmp_path, main_cli):
     kinds = {
         "gamma-roots": ["--points", "3"],
         "alpha-condition": ["--points", "3"],
@@ -443,13 +501,13 @@ def test_sweep_rejects_options_its_kind_does_not_read(tmp_path):
         for key, value in options.items():
             for args in ([f"--{key}", str(value)], ["--config", str(path)]):
                 path.write_text(json.dumps({key: value}), encoding="utf-8")
-                proc = run_cli("sweep", "--kind", kind, *kinds[kind], *args)
+                proc = main_cli("sweep", "--kind", kind, *kinds[kind], *args)
                 assert proc.returncode == 2, (kind, args, proc.stderr)
                 assert proc.stderr.startswith("error:") and f"--{key}" in proc.stderr, \
                     proc.stderr
     # a null config value leaves the option unset
     path.write_text(json.dumps({"samples": None}), encoding="utf-8")
-    proc = run_cli("sweep", "--kind", "gamma-roots", "--points", "3", "--config", str(path))
+    proc = main_cli("sweep", "--kind", "gamma-roots", "--points", "3", "--config", str(path))
     assert proc.returncode == 0, proc.stderr
 
 
@@ -570,7 +628,7 @@ def test_count_options_reject_values_below_their_limit(tmp_path, argv, key, valu
             assert report_from(proc)["config"][key] == value
 
 
-def test_out_lists_exactly_the_files_it_writes(tmp_path):
+def test_out_lists_exactly_the_files_it_writes(tmp_path, main_cli, monkeypatch):
     # stderr names every file written under --out, report.json first; without
     # --out the report goes to stdout and nothing is written
     cwd = tmp_path / "cwd"
@@ -586,15 +644,16 @@ def test_out_lists_exactly_the_files_it_writes(tmp_path):
         "alpha-condition": ["sweep", "--kind", "alpha-condition", "--points", "3"],
         "er-sample": [*ER_SAMPLE, "--samples", "1"],
     }
+    monkeypatch.chdir(cwd)
     for name, argv in commands.items():
         out = tmp_path / name
-        proc = run_cli(*argv, "--out", str(out), cwd=cwd)
+        proc = main_cli(*argv, "--out", str(out))
         assert proc.returncode in (0, 1), (name, proc.stderr)
         assert proc.stdout == ""
         listed = proc.stderr.splitlines()
         assert listed[0] == str(out / "report.json"), name
         assert sorted(listed) == sorted(str(p) for p in out.iterdir()), name
-        proc = run_cli(*argv, cwd=cwd)
+        proc = main_cli(*argv)
         assert proc.returncode in (0, 1) and proc.stderr == "", (name, proc.stderr)
         assert report_from(proc)["command"] == argv[0]
     assert list(cwd.iterdir()) == []
@@ -672,25 +731,25 @@ REMOVED_OPTIONS = [
 ]
 
 
-def test_config_file_merging(tmp_path):
+def test_config_file_merging(tmp_path, main_cli):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gen": "cycle:6"}), encoding="utf-8")
-    rep = report_from(run_cli("generate", "--config", str(cfg)))
+    rep = report_from(main_cli("generate", "--config", str(cfg)))
     assert rep["graph"]["n"] == 6
     # explicit flags win over the config file
-    rep = report_from(run_cli("generate", "--config", str(cfg), "--gen", "cycle:8"))
+    rep = report_from(main_cli("generate", "--config", str(cfg), "--gen", "cycle:8"))
     assert rep["graph"]["n"] == 8
     assert rep["config"]["gen"] == "cycle:8"
 
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]", encoding="utf-8")
-    assert run_cli("generate", "--config", str(bad), "--gen", "cycle:6").returncode == 2
+    assert main_cli("generate", "--config", str(bad), "--gen", "cycle:6").returncode == 2
 
     # keys are option names in dest spelling; values are checked, never converted
     ok = tmp_path / "ok.json"
     ok.write_text(json.dumps({"gen": "cycle:6", "seed": 3, "tol": 1, "out": None}),
                   encoding="utf-8")
-    rep = report_from(run_cli("profile", "--config", str(ok)))
+    rep = report_from(main_cli("profile", "--config", str(ok)))
     assert rep["config"] == {"gen": "cycle:6", "seed": 3, "tol": 1}
     for command, cfg_obj, named in [
         ("profile", {"trails": 5}, "trails"),  # misspelt: no mixing check would run
@@ -707,14 +766,14 @@ def test_config_file_merging(tmp_path):
     ]:
         path = tmp_path / "wrong.json"
         path.write_text(json.dumps(cfg_obj), encoding="utf-8")
-        proc = run_cli(command, "--config", str(path), "--gen", "cycle:6", "--seed", "0")
+        proc = main_cli(command, "--config", str(path), "--gen", "cycle:6", "--seed", "0")
         assert proc.returncode == 2, (command, cfg_obj, proc.stderr)
         assert proc.stderr.startswith("error:") and repr(named) in proc.stderr, proc.stderr
 
     # an option a subcommand does not have is not a key either
     for command, key, args in REMOVED_OPTIONS:
         path.write_text(json.dumps({key: 1}), encoding="utf-8")
-        proc = run_cli(command, "--config", str(path), *args)
+        proc = main_cli(command, "--config", str(path), *args)
         assert proc.returncode == 2, (command, key, proc.stderr)
         assert proc.stderr.startswith("error:") and repr(key) in proc.stderr, proc.stderr
 
@@ -785,25 +844,25 @@ def test_non_utf8_edge_list_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_usage_errors_exit_2(tmp_path):
-    assert run_cli().returncode == 2
-    assert run_cli("frobnicate").returncode == 2
-    assert run_cli("generate").returncode == 2  # no graph source
-    assert run_cli("generate", "--gen", "er:10").returncode == 2  # malformed spec
-    assert run_cli("generate", "--gen", "er:10,0.5").returncode == 2  # missing seed
-    assert run_cli("generate", "--gen", "moebius:10").returncode == 2
+def test_usage_errors_exit_2(tmp_path, main_cli):
+    assert main_cli().returncode == 2
+    assert main_cli("frobnicate").returncode == 2
+    assert main_cli("generate").returncode == 2  # no graph source
+    assert main_cli("generate", "--gen", "er:10").returncode == 2  # malformed spec
+    assert main_cli("generate", "--gen", "er:10,0.5").returncode == 2  # missing seed
+    assert main_cli("generate", "--gen", "moebius:10").returncode == 2
     # a number that does not parse names the spec, without a traceback
     for spec in ("er:10,abc", "er:abc,0.5", "regular:10,x"):
-        proc = run_cli("generate", "--gen", spec, "--seed", "0")
+        proc = main_cli("generate", "--gen", spec, "--seed", "0")
         assert proc.returncode == 2, spec
         assert proc.stderr.startswith("error:") and repr(spec) in proc.stderr, proc.stderr
         assert "Traceback" not in proc.stderr
     g = tmp_path / "g.txt"
     g.write_text("2 1\n0 1\n", encoding="utf-8")
-    assert run_cli("generate", "--graph", str(g), "--gen", "cycle:5").returncode == 2
-    assert run_cli("generate", "--graph", str(tmp_path / "nope.txt")).returncode == 2
+    assert main_cli("generate", "--graph", str(g), "--gen", "cycle:5").returncode == 2
+    assert main_cli("generate", "--graph", str(tmp_path / "nope.txt")).returncode == 2
     for command, key, args in REMOVED_OPTIONS:
-        proc = run_cli(command, *args, f"--{key}", "1")
+        proc = main_cli(command, *args, f"--{key}", "1")
         assert proc.returncode == 2, (command, key)
         assert f"unrecognized arguments: --{key}" in proc.stderr, proc.stderr
 

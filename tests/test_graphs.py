@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -586,9 +587,9 @@ def test_random_regular_is_regular_and_simple():
     assert np.array_equal(a.edge_arrays()[1], b.edge_arrays()[1])
 
 
-def regular_arrays(n, d, seed, max_restarts=10000):
+def regular_arrays(n, d, seed):
     try:
-        g = gen_random_regular(n, d, seed, max_restarts=max_restarts)
+        g = gen_random_regular(n, d, seed)
     except GenerationError as exc:
         return str(exc)
     return tuple(a.tolist() for a in graph_arrays(g))
@@ -613,7 +614,9 @@ def test_random_regular_matches_sequential_pairing(data):
     if d == n - 1 and isinstance(want, str):
         # K_n, the only (n-1)-regular graph, is returned without a pairing
         want = tuple(a.tolist() for a in graph_arrays(gen_named("complete", n)))
-    assert regular_arrays(n, d, seed, restarts) == want
+    # hypothesis rejects function-scoped fixtures, so no monkeypatch here
+    with mock.patch.object(graphs, "_MAX_RESTARTS", restarts):
+        assert regular_arrays(n, d, seed) == want
 
 
 @pytest.mark.parametrize("n,d,seed", [(2000, 200, 0), (2500, 20, 0), (2500, 20, 1)])
@@ -623,26 +626,30 @@ def test_random_regular_matches_sequential_pairing_at_scale(n, d, seed):
     assert got == reference_arrays(n, d, seed)
 
 
-def test_random_regular_runs_out_of_restarts():
+def test_random_regular_runs_out_of_restarts(monkeypatch):
     # 10-regular on 12 vertices: seeds 0-2 get stuck in their one restart,
     # seed 17 completes it (both read off the sequential oracle)
     for seed in (0, 1, 2):
+        assert gen_random_regular(12, 10, seed).m == 60
+    monkeypatch.setattr(graphs, "_MAX_RESTARTS", 1)
+    for seed in (0, 1, 2):
         with pytest.raises(GenerationError, match="in 1 restarts"):
-            gen_random_regular(12, 10, seed, max_restarts=1)
+            gen_random_regular(12, 10, seed)
         with pytest.raises(GenerationError):
             pairing_reference(12, 10, seed, 1)
-        assert gen_random_regular(12, 10, seed).m == 60
-    assert gen_random_regular(12, 10, 17, max_restarts=1).m == 60
+    assert gen_random_regular(12, 10, 17).m == 60
 
 
-def test_random_regular_of_degree_n_minus_1_is_complete():
+def test_random_regular_of_degree_n_minus_1_is_complete(monkeypatch):
     # the pairing spent 26 s on 10,000 restarts of (60, 59, 4) before failing
     want = graph_arrays(gen_named("complete", 60))
-    for seed in (0, 4, 7):
-        start = time.perf_counter()
-        g = gen_random_regular(60, 59, seed, max_restarts=1)
-        assert time.perf_counter() - start < 0.5
-        assert all(np.array_equal(a, b) for a, b in zip(graph_arrays(g), want))
+    with monkeypatch.context() as patched:
+        patched.setattr(graphs, "_MAX_RESTARTS", 1)
+        for seed in (0, 4, 7):
+            start = time.perf_counter()
+            g = gen_random_regular(60, 59, seed)
+            assert time.perf_counter() - start < 0.5
+            assert all(np.array_equal(a, b) for a, b in zip(graph_arrays(g), want))
     want = graph_arrays(gen_named("complete", 4))
     for seed in range(8):
         got = graph_arrays(gen_random_regular(4, 3, seed))
@@ -754,6 +761,26 @@ def test_edge_list_rejects_malformed(tmp_path):
         path.write_bytes(data)
         with pytest.raises(InputError, match="not UTF-8 text"):
             read_edge_list(path)
+
+
+def test_vertex_count_beyond_the_edge_key_range_is_an_input_error(tmp_path):
+    # edges are keyed u * n + v in int64, so n^2 may not exceed 2^63 - 1;
+    # every n here is refused before anything of size n is allocated
+    assert graphs._MAX_VERTICES == 3_037_000_499
+    huge = 10 ** 20
+    for build in (lambda: Graph(huge, []),
+                  lambda: Graph(huge, [(0, 1)]),
+                  lambda: gen_named("cycle", huge),
+                  lambda: gen_named("complete", huge),
+                  lambda: gen_erdos_renyi(huge, 0.1, 1),
+                  lambda: gen_random_regular(huge, 3, 1),
+                  lambda: Graph(3_037_000_500, [])):
+        with pytest.raises(InputError, match="exceeds the largest supported, 3037000499"):
+            build()
+    path = tmp_path / "huge.txt"
+    path.write_text(f"{huge} 0\n", encoding="utf-8")
+    with pytest.raises(InputError, match=f"^{path}: vertex count {huge} exceeds"):
+        read_edge_list(path)
 
 
 @pytest.mark.parametrize("sep", ["\t", "\f", "\v", "\x1c", "\x1d", "\x1e", "\x1f",
