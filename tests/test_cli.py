@@ -2,10 +2,12 @@
 
 Exit status contract: 0 success/pass, 1 fail verdict, 2 usage or input
 error. Reports must be reproducible modulo the provenance timestamp.
-The subprocess runs (run_cli) go through the `python -m kurasync.cli`
-entry; the in-process ones (the main_cli fixture) through cli.main(),
-without the interpreter start-up. In-process runs share ARPACK's
-start-vector seed, so none compares eigenvector-dependent output.
+Most runs go through cli.main() in this process (the main_cli fixture),
+without the interpreter start-up. A few go through the
+`python -m kurasync.cli` entry in a subprocess (run_cli): the version
+flag, two reports compared across processes, and the runs whose timeout
+guards against a hang. In-process runs share ARPACK's start-vector seed,
+so none compares eigenvector-dependent output.
 """
 
 import argparse
@@ -14,7 +16,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -44,7 +45,6 @@ from kurasync import (
     read_edge_list,
     theorem_condition,
 )
-from kurasync import graphs
 from kurasync.certify import GENERAL_ALPHA_SUP, preset_regular_schedule
 from kurasync.cli import _subcommand_flags, build_parser, main, run
 from kurasync.randomgraphs import CERTIFIABLE_VERDICT
@@ -58,10 +58,10 @@ CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
                   os.environ.get("PYTHONPATH")]))}
 
 
-def run_cli(*args, cwd=None, timeout=600):
+def run_cli(*args, timeout=600):
     return subprocess.run(
         [sys.executable, "-m", "kurasync.cli", *args],
-        capture_output=True, text=True, cwd=cwd, timeout=timeout, env=CLI_ENV,
+        capture_output=True, text=True, timeout=timeout, env=CLI_ENV,
     )
 
 
@@ -88,9 +88,9 @@ def report_from_dir(outdir):
         return json.load(fh)
 
 
-def test_generate_writes_graph(tmp_path):
+def test_generate_writes_graph(tmp_path, main_cli):
     out = tmp_path / "run"
-    proc = run_cli("generate", "--gen", "cycle:12", "--out", str(out))
+    proc = main_cli("generate", "--gen", "cycle:12", "--out", str(out))
     assert proc.returncode == 0
     rep = report_from_dir(out)
     assert rep["command"] == "generate"
@@ -105,8 +105,8 @@ def test_generate_writes_graph(tmp_path):
     assert "report.json" in proc.stderr
 
 
-def test_generate_stdout_mode():
-    proc = run_cli("generate", "--gen", "complete:5")
+def test_generate_stdout_mode(main_cli):
+    proc = main_cli("generate", "--gen", "complete:5")
     assert proc.returncode == 0
     rep = report_from(proc)
     assert rep["graph"]["m"] == 10
@@ -126,8 +126,8 @@ def test_reports_reproducible_modulo_timestamp(tmp_path):
     assert (a / "profile.json").read_bytes() == (b / "profile.json").read_bytes()
 
 
-def test_profile_complete_graph():
-    proc = run_cli("profile", "--gen", "complete:10")
+def test_profile_complete_graph(main_cli):
+    proc = main_cli("profile", "--gen", "complete:10")
     assert proc.returncode == 0
     rep = report_from(proc)
     prof = rep["profile"]
@@ -139,8 +139,8 @@ def test_profile_complete_graph():
     assert lo <= 9 <= hi
 
 
-def test_profile_with_mixing_trials():
-    proc = run_cli("profile", "--gen", "er:100,0.2", "--seed", "2", "--trials", "25")
+def test_profile_with_mixing_trials(main_cli):
+    proc = main_cli("profile", "--gen", "er:100,0.2", "--seed", "2", "--trials", "25")
     assert proc.returncode == 0
     rep = report_from(proc)
     assert rep["mixing"]["passed"] is True
@@ -148,10 +148,10 @@ def test_profile_with_mixing_trials():
     assert rep["mixing"]["worst_slack"] >= -rep["mixing"]["allowance"]
 
 
-def test_certify_complete_graph_fails_closed_form():
+def test_certify_complete_graph_fails_closed_form(main_cli):
     # K_10 is no expander at this size: condition1 lands near 8.69 and the
     # run reports the failing certificate through exit status 1
-    proc = run_cli("certify", "--gen", "complete:10")
+    proc = main_cli("certify", "--gen", "complete:10")
     assert proc.returncode == 1
     rep = report_from(proc)
     assert rep["verdict"] == "fail"
@@ -160,14 +160,14 @@ def test_certify_complete_graph_fails_closed_form():
     assert rep["amplification"]["verdict"] == "fail"
 
 
-def test_certify_saved_profile_passes(tmp_path):
+def test_certify_saved_profile_passes(tmp_path, main_cli):
     prof_path = tmp_path / "profile.json"
     ExpanderProfile(n=600, d_ref=600.0, alpha=0.0816, c_minus=-0.0816,
                     c_plus=0.0816).save(prof_path)
     sched_path = tmp_path / "schedule.json"
     preset_regular_schedule().save(sched_path)
     out = tmp_path / "run"
-    proc = run_cli("certify", "--profile", str(prof_path), "--mode", "numeric",
+    proc = main_cli("certify", "--profile", str(prof_path), "--mode", "numeric",
                    "--schedule", str(sched_path), "--out", str(out))
     assert proc.returncode == 0
     rep = report_from_dir(out)
@@ -181,14 +181,14 @@ def test_certify_saved_profile_passes(tmp_path):
     assert len(trace) == 10
 
 
-def test_certify_requires_exactly_one_source(tmp_path):
-    proc = run_cli("certify")
+def test_certify_requires_exactly_one_source(tmp_path, main_cli):
+    proc = main_cli("certify")
     assert proc.returncode == 2
     assert "error:" in proc.stderr
 
     prof_path = tmp_path / "p.json"
     ExpanderProfile(n=5, d_ref=2.0, alpha=0.1, c_minus=-0.1, c_plus=0.1).save(prof_path)
-    proc = run_cli("certify", "--gen", "cycle:5", "--profile", str(prof_path))
+    proc = main_cli("certify", "--gen", "cycle:5", "--profile", str(prof_path))
     assert proc.returncode == 2
 
     # a saved profile carries its own tol, and there is no graph to sample
@@ -196,7 +196,7 @@ def test_certify_requires_exactly_one_source(tmp_path):
     for key, value in (("tol", 0.5), ("seed", 9)):
         cfg.write_text(json.dumps({key: value}), encoding="utf-8")
         for args in ([f"--{key}", str(value)], ["--config", str(cfg)]):
-            proc = run_cli("certify", "--profile", str(prof_path), *args)
+            proc = main_cli("certify", "--profile", str(prof_path), *args)
             assert proc.returncode == 2, (args, proc.stderr)
             assert proc.stderr.startswith("error:") and f"--{key}" in proc.stderr, proc.stderr
 
@@ -214,9 +214,9 @@ def test_certify_numeric_without_schedule_replays_the_preset(tmp_path):
     assert bare.report == given.report
 
 
-def test_simulate_cycle_finds_twisted_states(tmp_path):
+def test_simulate_cycle_finds_twisted_states(tmp_path, main_cli):
     out = tmp_path / "run"
-    proc = run_cli("simulate", "--gen", "cycle:10", "--seed", "0", "--runs", "20",
+    proc = main_cli("simulate", "--gen", "cycle:10", "--seed", "0", "--runs", "20",
                    "--step-cap", CYCLE_CAP, "--classify", "--out", str(out))
     assert proc.returncode == 0
     rep = report_from_dir(out)
@@ -236,22 +236,22 @@ def test_simulate_cycle_finds_twisted_states(tmp_path):
     assert flow_csv[0] == "time,energy,grad_norm,rho1"
 
 
-def test_simulate_rejects_workers(tmp_path):
+def test_simulate_rejects_workers(tmp_path, main_cli):
     # runs go serially in seed order; there is no thread pool to size
     base = ["simulate", "--gen", "complete:12", "--seed", "3", "--runs", "8"]
-    proc = run_cli(*base, "--workers", "4")
+    proc = main_cli(*base, "--workers", "4")
     assert proc.returncode == 2
     assert "unrecognized arguments: --workers" in proc.stderr, proc.stderr
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"workers": 4}), encoding="utf-8")
-    proc = run_cli(*base, "--config", str(cfg))
+    proc = main_cli(*base, "--config", str(cfg))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "'workers'" in proc.stderr, proc.stderr
 
 
-def test_simulate_tol_reaches_classifier():
+def test_simulate_tol_reaches_classifier(main_cli):
     # a run that converged to gradient --tol is an equilibrium at that bound
-    proc = run_cli("simulate", "--gen", "er:60,0.2", "--seed", "0", "--runs", "4",
+    proc = main_cli("simulate", "--gen", "er:60,0.2", "--seed", "0", "--runs", "4",
                    "--tol", "1e-6", "--classify")
     assert proc.returncode == 0, proc.stderr
     converged = [r for r in report_from(proc)["runs"] if r["terminated"] == "converged"]
@@ -259,26 +259,26 @@ def test_simulate_tol_reaches_classifier():
     assert [r for r in converged if r["classification"] == "not_equilibrium"] == []
 
 
-def test_simulate_requires_seed():
-    proc = run_cli("simulate", "--gen", "cycle:10", "--runs", "2")
+def test_simulate_requires_seed(main_cli):
+    proc = main_cli("simulate", "--gen", "cycle:10", "--runs", "2")
     assert proc.returncode == 2
     assert "--seed" in proc.stderr
 
 
-def test_simulate_leaves_no_out_dir_on_input_error(tmp_path):
+def test_simulate_leaves_no_out_dir_on_input_error(tmp_path, main_cli):
     out = tmp_path / "emptyout"
-    proc = run_cli("simulate", "--gen", "cycle:10", "--runs", "2", "--out", str(out))
+    proc = main_cli("simulate", "--gen", "cycle:10", "--runs", "2", "--out", str(out))
     assert proc.returncode == 2 and "--seed" in proc.stderr
     assert not out.exists()
 
 
 @pytest.mark.parametrize("spec, seed, cap", [("cycle:10", 0, 500), ("er:50,0.1", 4, 3000)])
-def test_simulate_runs_are_reference_flows(tmp_path, spec, seed, cap):
+def test_simulate_runs_are_reference_flows(tmp_path, main_cli, spec, seed, cap):
     # run 0 goes through flow and the other four through one flow_batch
     # block; every sidecar and the report match rows built from the frozen
     # one-state flow
     out = tmp_path / "run"
-    proc = run_cli("simulate", "--gen", spec, "--seed", str(seed), "--runs", "5",
+    proc = main_cli("simulate", "--gen", spec, "--seed", str(seed), "--runs", "5",
                    "--step-cap", str(cap), "--classify", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     family, args = spec.split(":")
@@ -307,8 +307,8 @@ def test_simulate_runs_are_reference_flows(tmp_path, spec, seed, cap):
         assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
 
-def test_threshold_defaults():
-    proc = run_cli("threshold")
+def test_threshold_defaults(main_cli):
+    proc = main_cli("threshold")
     assert proc.returncode == 0
     rep = report_from(proc)
     assert rep["schedule"] == "preset" and rep["mode"] == "numeric"
@@ -318,8 +318,8 @@ def test_threshold_defaults():
     assert rep["min_ramanujan_degree"] == 592
 
 
-def test_threshold_paper_proof_mode():
-    proc = run_cli("threshold", "--mode", "paper-proof", "--lo", "0.001", "--hi", "0.01")
+def test_threshold_paper_proof_mode(main_cli):
+    proc = main_cli("threshold", "--mode", "paper-proof", "--lo", "0.001", "--hi", "0.01")
     assert proc.returncode == 0
     rep = report_from(proc)
     assert rep["schedule"] == "auto" and rep["mode"] == "paper-proof"
@@ -382,11 +382,11 @@ def test_unbounded_tolerance_exits_2(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
-def test_threshold_replays_schedule_in_paper_proof_mode(tmp_path):
+def test_threshold_replays_schedule_in_paper_proof_mode(tmp_path, main_cli):
     # a given schedule is replayed in the mode asked for, as certify does
     path = tmp_path / "schedule.json"
     preset_regular_schedule().save(path)
-    proc = run_cli("threshold", "--schedule", str(path), "--mode", "paper-proof")
+    proc = main_cli("threshold", "--schedule", str(path), "--mode", "paper-proof")
     assert proc.returncode == 0, proc.stderr
     rep = report_from(proc)
     assert rep["mode"] == "paper-proof" and rep["schedule"] == str(path)
@@ -402,14 +402,14 @@ def test_threshold_replays_schedule_in_paper_proof_mode(tmp_path):
         else:
             hi = mid
     assert rep["max_alpha"] == lo
-    proc = run_cli("threshold", "--schedule", str(path), "--mode", "numeric",
+    proc = main_cli("threshold", "--schedule", str(path), "--mode", "numeric",
                    "--lo", "0.07", "--hi", "0.09")
     assert proc.returncode == 0
     assert report_from(proc)["mode"] == "numeric"
 
 
-def test_er_predict_vacuous_at_realistic_n():
-    proc = run_cli("er-predict", "--n", "500", "--gamma", "3", "--eps", "0.25")
+def test_er_predict_vacuous_at_realistic_n(main_cli):
+    proc = main_cli("er-predict", "--n", "500", "--gamma", "3", "--eps", "0.25")
     assert proc.returncode == 1
     rep = report_from(proc)
     pred = rep["prediction"]
@@ -417,33 +417,33 @@ def test_er_predict_vacuous_at_realistic_n():
     assert pred["alpha_pred"] > 0.2
     assert pred["failure_prob_bound"] == 1.0
 
-    proc = run_cli("er-predict", "--n", "500", "--gamma", "3")
+    proc = main_cli("er-predict", "--n", "500", "--gamma", "3")
     assert proc.returncode == 2  # eps is required
 
 
-def test_er_predict_exits_0_in_certifiable_range():
+def test_er_predict_exits_0_in_certifiable_range(main_cli):
     # alpha_pred = 6 / sqrt(80 log 1e5) = 0.1977, below the 1/5 gate
-    proc = run_cli("er-predict", "--n", "100000", "--gamma", "80", "--eps", "0.1")
+    proc = main_cli("er-predict", "--n", "100000", "--gamma", "80", "--eps", "0.1")
     assert proc.returncode == 0
     pred = report_from(proc)["prediction"]
     assert pred["verdict"] == CERTIFIABLE_VERDICT
     assert pred["alpha_pred"] <= GENERAL_ALPHA_SUP
 
 
-def test_er_predict_gamma_at_window_lower_end_exits_2():
-    proc = run_cli("er-predict", "--n", "1000", "--gamma", "1.25000000000001",
+def test_er_predict_gamma_at_window_lower_end_exits_2(main_cli):
+    proc = main_cli("er-predict", "--n", "1000", "--gamma", "1.25000000000001",
                    "--eps", "0.25")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: gamma is too close to the window's lower end"), \
         proc.stderr
 
 
-def test_n_too_large_for_a_float_exits_2():
+def test_n_too_large_for_a_float_exits_2(main_cli):
     huge = "1" + "0" * 400
     for args in (["er-predict", "--n", huge, "--gamma", "3", "--eps", "0.25"],
                  ["sweep", "--kind", "er-sample", "--n", huge, "--gamma", "3", "--eps", "0.25",
                   "--seed", "1", "--samples", "1"]):
-        proc = run_cli(*args)
+        proc = main_cli(*args)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, proc.stderr
 
@@ -462,9 +462,9 @@ def test_n_beyond_the_edge_key_range_exits_2(main_cli):
         assert "exceeds the largest supported" in proc.stderr, proc.stderr
 
 
-def test_sweep_gamma_roots(tmp_path):
+def test_sweep_gamma_roots(tmp_path, main_cli):
     out = tmp_path / "run"
-    proc = run_cli("sweep", "--kind", "gamma-roots", "--lo", "1.5", "--hi", "3.0",
+    proc = main_cli("sweep", "--kind", "gamma-roots", "--lo", "1.5", "--hi", "3.0",
                    "--points", "5", "--out", str(out))
     assert proc.returncode == 0
     rep = report_from_dir(out)
@@ -476,8 +476,8 @@ def test_sweep_gamma_roots(tmp_path):
     assert first[0] == 1.5 and -1.0 < first[1] < 0.0 < first[2]
 
 
-def test_sweep_alpha_condition():
-    proc = run_cli("sweep", "--kind", "alpha-condition", "--lo", "0.001",
+def test_sweep_alpha_condition(main_cli):
+    proc = main_cli("sweep", "--kind", "alpha-condition", "--lo", "0.001",
                    "--hi", "0.2", "--points", "40")
     assert proc.returncode == 0
     rep = report_from(proc)
@@ -511,84 +511,14 @@ def test_sweep_rejects_options_its_kind_does_not_read(tmp_path, main_cli):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_sweep_er_sample(tmp_path):
+def test_sweep_er_sample(tmp_path, main_cli):
     base = ["sweep", "--kind", "er-sample", "--n", "200", "--gamma", "3",
             "--eps", "0.25", "--seed", "1", "--samples", "3"]
-    assert run_cli(*base, "--out", str(tmp_path)).returncode == 0
+    assert main_cli(*base, "--out", str(tmp_path)).returncode == 0
     rep = report_from_dir(tmp_path)
     assert rep["samples"] == 3
     assert 0 <= rep["profiles_inside_certified_window"] <= 3
     assert rep["mean_measured_alpha"] > 0.0
-
-
-def split_er_sampler(monkeypatch):
-    """Put every G(n, p) draw on the two-thread path, in blocks of 1024
-    pairs, so the 44,850 pairs of n = 300 split at pair 22,528."""
-    monkeypatch.setattr(graphs, "_ER_SPLIT_PAIRS", 0)
-    monkeypatch.setattr(graphs, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(graphs, "_ER_BLOCK", 1024)
-
-
-ER_SPLIT_SWEEP = ["sweep", "--kind", "er-sample", "--n", "300", "--gamma", "3", "--eps", "0.25",
-                  "--seed", "4", "--samples", "3"]
-
-
-def test_sweep_with_split_sampler_matches_one_thread_sweep(tmp_path, monkeypatch):
-    split_er_sampler(monkeypatch)
-    split, one = tmp_path / "split", tmp_path / "one"
-    rep = run([*ER_SPLIT_SWEEP, "--out", str(split)]).report
-    monkeypatch.undo()
-    rep_one = run([*ER_SPLIT_SWEEP, "--out", str(one)]).report
-    for r in (rep, rep_one):
-        del r["provenance"]
-    assert rep_one == rep
-    assert (one / "sweep.csv").read_bytes() == (split / "sweep.csv").read_bytes()
-
-
-def test_split_sampler_keeps_tracer_spans_on_one_thread(monkeypatch):
-    # the benchmark's tracer keeps one span stack, so no traced function may
-    # run on the sampler's worker; its spans must nest as in bench/test_smoke.py
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    from tracer import Tracer
-
-    split_er_sampler(monkeypatch)
-    threads = set()
-
-    class ThreadTracer(Tracer):
-        def open(self, name_id):
-            threads.add(threading.get_ident())
-            return super().open(name_id)
-
-    draws = []
-    draw = graphs._er_run
-
-    def spy(*args):
-        draws.append(threading.get_ident())
-        return draw(*args)
-
-    monkeypatch.setattr(graphs, "_er_run", spy)
-    tr = ThreadTracer()
-    tr.install()
-    try:
-        with tr.span("cli.sweep"):
-            assert run(ER_SPLIT_SWEEP).exit_status == 0
-    finally:
-        tr.uninstall()
-    assert threads == {threading.get_ident()}
-    assert len(draws) == 6 and len(set(draws)) > 1
-    parent, name, start, end = tr.arrays()
-    names = tr.names
-    assert sum(names[k] == "graphs.gen_erdos_renyi" for k in name) == 3
-    assert (end >= start).all()
-    child = parent >= 0
-    up = parent[child]
-    # every span lies inside its parent, and no function is wrapped twice
-    assert (start[child] >= start[up]).all() and (end[child] <= end[up]).all()
-    assert not (name[child] == name[up]).any()
-    # spans with one parent never overlap
-    order = np.lexsort((start, parent))
-    same = parent[order][1:] == parent[order][:-1]
-    assert (end[order][:-1][same] <= start[order][1:][same]).all()
 
 
 # each count option with a value just below its lower limit (or at it, which
@@ -614,12 +544,13 @@ COUNT_CASES = [
 @pytest.mark.parametrize("argv, key, value, status", COUNT_CASES, ids=[
     f"{argv[2] if argv[0] == 'sweep' else argv[0]}-{key}={value}"
     for argv, key, value, _ in COUNT_CASES])
-def test_count_options_reject_values_below_their_limit(tmp_path, argv, key, value, status):
+def test_count_options_reject_values_below_their_limit(tmp_path, main_cli, argv, key, value,
+                                                       status):
     flag = f"--{key.replace('_', '-')}"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}), encoding="utf-8")
     for args in ([flag, str(value)], ["--config", str(cfg)]):
-        proc = run_cli(*argv, *args)
+        proc = main_cli(*argv, *args)
         assert proc.returncode == status, (args, proc.stderr)
         if status == 2:
             least = 0 if key in ("step_cap", "trials") else 1
@@ -787,16 +718,16 @@ MALFORMED_SCHEDULES = [
 
 
 @pytest.mark.parametrize("schedule", MALFORMED_SCHEDULES)
-def test_threshold_rejects_malformed_schedule(tmp_path, schedule):
+def test_threshold_rejects_malformed_schedule(tmp_path, main_cli, schedule):
     path = tmp_path / "schedule.json"
     path.write_text(json.dumps(schedule), encoding="utf-8")
-    proc = run_cli("threshold", "--schedule", str(path))
+    proc = main_cli("threshold", "--schedule", str(path))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:"), proc.stderr
 
 
 @pytest.mark.parametrize("text", ['{"steps": [', "", b"\xff\xfe"])
-def test_malformed_json_files_exit_2(tmp_path, text):
+def test_malformed_json_files_exit_2(tmp_path, main_cli, text):
     path = tmp_path / "broken.json"
     if isinstance(text, bytes):
         path.write_bytes(text)
@@ -805,7 +736,7 @@ def test_malformed_json_files_exit_2(tmp_path, text):
     for args in (["generate", "--gen", "cycle:6", "--config", str(path)],
                  ["certify", "--profile", str(path)],
                  ["threshold", "--schedule", str(path)]):
-        proc = run_cli(*args)
+        proc = main_cli(*args)
         assert proc.returncode == 2, (args, proc.stderr)
         assert proc.stderr.startswith("error:") and str(path) in proc.stderr, proc.stderr
 
@@ -834,10 +765,10 @@ def test_dense_certify_commands_peak_at_the_graph_size(tmp_path):
     assert max(peaks) <= 1.05 * 40 * 319_600, peaks
 
 
-def test_non_utf8_edge_list_exits_2(tmp_path):
+def test_non_utf8_edge_list_exits_2(tmp_path, main_cli):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"3 1\n0 \xff1\n")
-    proc = run_cli("generate", "--graph", str(path))
+    proc = main_cli("generate", "--graph", str(path))
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: {path}: edge-list file is not UTF-8 text"), \
         proc.stderr
