@@ -14,6 +14,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import InputError
+from .graphs import _is_integer
 from .spectral import _extreme_eigenpair, write_csv
 
 __all__ = [
@@ -266,6 +267,8 @@ def _flow_rows(g, thetas, grad_tol, step_cap, path=None):
     """flow_batch's finals of a checked (R, n) block, one memory-bounded
     block of rows after another; path goes to _integrate."""
     _check_grad_tol(grad_tol)
+    if not _is_integer(step_cap) or step_cap < 0:
+        raise InputError(f"step_cap must be a non-negative integer, got {step_cap!r}")
     r = len(thetas)
     out = FlowBatch(np.empty_like(thetas), np.zeros(r, dtype=np.int64),
                     np.empty(r, dtype=_EXITS.dtype), np.empty(r), np.empty(r), np.empty(r))
@@ -335,56 +338,43 @@ class EquilibriumReport:
     rho2: complex
 
 
-def _min_eig_off_ones(diag, W, s, tol):
-    """Smallest eigenvalue of diag(diag) - W off the all-ones vector, n >= 2.
-
-    The rank-one term s * mean(x) lifts the all-ones eigenvalue 0 to s,
-    above the Gershgorin bound 2 * d_max of every other eigenvalue, so the
-    smallest eigenvalue of the shifted operator is the minimum on the
-    complement, and s bounds the shifted operator's norm.
-    """
-    n = len(diag)
-    if n < _SPARSE_MIN_N:
-        M = _dense_hessian(diag, W)
-        M += s / n
-        return float(np.linalg.eigvalsh(M)[0])
-
-    def mv(x):
-        x = np.asarray(x, dtype=np.float64).ravel()
-        return diag * x - W @ x + s * x.mean()
-
-    lam, _, _ = _extreme_eigenpair(mv, n, "SA", tol, norm_bound=s)
-    return lam
-
-
 def _restricted_min_eig(g, theta, tol):
     """Smallest Hessian eigenvalue on the complement of the all-ones vector.
 
     The rotation mode (all-ones, eigenvalue 0) is a symmetry, not an
-    instability. On a disconnected graph the Hessian is block diagonal and
-    every component's all-ones vector is a zero mode, all but one of them
-    inside the complement: the minimum is 0 or less, and each component is
-    solved on its own. A Lanczos solve of the whole graph can converge to
-    the next eigenvalue up instead of that zero (seen on two identical
-    components at the synchronized state).
+    instability. A shift lifts it to s, above the Gershgorin bound
+    2 * d_max of every other eigenvalue, and s bounds the shifted
+    operator's norm. Below _SPARSE_MIN_N vertices the shift is s / n per
+    entry and a dense solve is exact on any graph. From there up the shift
+    is s times each connected component's mean of x, which lifts every
+    component's all-ones vector, so one sparse solve gives the least of the
+    components' restricted minima. On a disconnected graph all but one of
+    those all-ones vectors are zero modes inside the complement, hence the
+    min with 0; unlifted, a Lanczos solve can converge past such a zero
+    (seen on two identical components at the synchronized state).
     """
-    if g.n == 1:
+    n = g.n
+    if n == 1:
         return 0.0
     diag, W = _hessian_parts(g, theta)
     s = 4.0 * max(int(g.degrees.max()), 1) + 1.0
-    # the dense solve below _SPARSE_MIN_N is exact on any graph
-    if g.n >= _SPARSE_MIN_N:
-        # imported here: the module adds about 1 MB to every process, and
-        # nothing else in the package needs it
-        from scipy.sparse.csgraph import connected_components
+    if n < _SPARSE_MIN_N:
+        M = _dense_hessian(diag, W)
+        M += s / n
+        return float(np.linalg.eigvalsh(M)[0])
+    # imported here: the module adds about 1 MB to every process, and
+    # nothing else in the package needs it
+    from scipy.sparse.csgraph import connected_components
 
-        count, labels = connected_components(W, directed=False)
-        if count > 1:
-            order = np.argsort(labels, kind="stable")
-            blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
-            return min([0.0] + [_min_eig_off_ones(diag[b], W[b][:, b], s, tol)
-                                for b in blocks if len(b) > 1])
-    return _min_eig_off_ones(diag, W, s, tol)
+    count, labels = connected_components(W, directed=False)
+    size = np.bincount(labels)
+
+    def mv(x):
+        x = np.asarray(x, dtype=np.float64).ravel()
+        return diag * x - W @ x + s * (np.bincount(labels, weights=x) / size)[labels]
+
+    lam, _, _ = _extreme_eigenpair(mv, n, "SA", tol, norm_bound=s)
+    return min(0.0, lam) if count > 1 else lam
 
 
 def classify_equilibrium(g, theta, grad_tol=GRAD_TOL):
@@ -397,10 +387,11 @@ def classify_equilibrium(g, theta, grad_tol=GRAD_TOL):
     surfaced as its own class; third-order saddles exist and coercing them
     either way would be wrong.
 
-    The all-ones direction is removed by a rank-one shift that lifts its
-    eigenvalue above the rest of the spectrum, never by forming a basis of
-    the complement. From _SPARSE_MIN_N (300) vertices up the Hessian stays
-    sparse, each connected component is solved on its own, and the value
+    The all-ones direction is removed by a shift that lifts its eigenvalue
+    above the rest of the spectrum, never by forming a basis of the
+    complement. From _SPARSE_MIN_N (300) vertices up the Hessian stays
+    sparse, a per-component mean shift lifts every connected component's
+    all-ones vector, and one eigensolve serves the whole graph; the value
     carries the residual bound eig_tol / 10: it lies within eig_tol / 10 of
     an eigenvalue of the restricted Hessian, or NumericalError is raised.
     Smaller states take an exact dense eigensolve.

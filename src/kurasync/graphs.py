@@ -34,9 +34,17 @@ __all__ = [
 _MAX_VERTICES = math.isqrt(2**63 - 1)
 
 
+def _is_integer(x):
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_vertex_count(n):
-    """Raise InputError for an n too large to key its edges in int64,
-    before anything of size n is allocated."""
+    """Raise InputError for an n that is not a positive integer or is too
+    large to key its edges in int64, before anything of size n is
+    allocated."""
+    if not _is_integer(n) or n < 1:
+        raise InputError(f"vertex count must be a positive integer, got {n!r}")
     if n > _MAX_VERTICES:
         raise InputError(f"vertex count {n} exceeds the largest supported, {_MAX_VERTICES}")
 
@@ -53,8 +61,6 @@ class Graph:
     __slots__ = ("n", "m", "_eu", "_ev", "_csr")
 
     def __init__(self, n, edges):
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise InputError(f"vertex count must be a positive integer, got {n!r}")
         _check_vertex_count(n)
         n = int(n)
         if not isinstance(edges, np.ndarray):
@@ -177,18 +183,12 @@ def gen_named(family, n):
         i = np.arange(n)
         return Graph(n, np.column_stack((i, (i + 1) % n)))
     if family == "path":
-        if n < 1:
-            raise InputError(f"path needs n >= 1, got {n}")
         i = np.arange(n - 1)
         return Graph(n, np.column_stack((i, i + 1)))
     if family == "complete":
-        if n < 1:
-            raise InputError(f"complete needs n >= 1, got {n}")
         # triu_indices lists the pairs u < v in lexicographic order
         return Graph._from_sorted_pairs(n, *np.triu_indices(n, 1))
     if family == "star":
-        if n < 1:
-            raise InputError(f"star needs n >= 1, got {n}")
         i = np.arange(1, n)
         return Graph(n, np.column_stack((np.zeros_like(i), i)))
     if family == "two_cliques_bridged":
@@ -225,8 +225,6 @@ def gen_erdos_renyi(n, p, seed):
     """
     if not (0.0 <= p <= 1.0):
         raise InputError(f"edge probability must lie in [0, 1], got {p}")
-    if n < 1:
-        raise InputError(f"vertex count must be >= 1, got {n}")
     _check_vertex_count(n)
     rng = np.random.default_rng(seed)
     offsets = np.zeros(n, dtype=np.int64)
@@ -287,9 +285,9 @@ def gen_random_regular(n, d, seed):
     non-rejected occurrence. So the random stream, and the graph, are the
     same as for that sequential loop.
     """
-    if n < 1 or d < 0:
-        raise InputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
     _check_vertex_count(n)
+    if not _is_integer(d) or d < 0:
+        raise InputError(f"degree must be a non-negative integer, got {d!r}")
     if (n * d) % 2:
         raise InputError(f"n*d must be even, got n={n}, d={d}")
     if d >= n:
@@ -446,8 +444,6 @@ def read_edge_list(path):
             if not all(map(_DECIMAL.fullmatch, head)):
                 raise InputError(f"non-integer header {header!r}")
             n, m = int(head[0]), int(head[1])
-            if n < 1:
-                raise InputError(f"vertex count must be a positive integer, got {n}")
             _check_vertex_count(n)
             pairs = np.empty((0, 2), dtype=np.int64)
             first = _next_nonblank(fh)

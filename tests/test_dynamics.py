@@ -252,6 +252,14 @@ def test_flow_rejects_bad_arguments():
     for grad_tol in (0.0, np.inf, np.nan):
         with pytest.raises(InputError):
             flow(g, np.zeros(5), grad_tol=grad_tol)
+    # step_cap=2.5 once took 3 steps, -3 ended at once as step_cap, and
+    # flow_batch raised TypeError on None
+    for step_cap in (2.5, np.float64(3.0), -3, None, True):
+        with pytest.raises(InputError, match="step_cap must be a non-negative integer"):
+            flow(g, np.zeros(5), step_cap=step_cap)
+        with pytest.raises(InputError, match="step_cap must be a non-negative integer"):
+            flow_batch(g, np.zeros((2, 5)), step_cap=step_cap)
+    assert flow(g, random_phases(5, 0), step_cap=np.int64(2)).steps == 2
 
 
 def test_flow_csv_round_trip(tmp_path):
@@ -554,6 +562,15 @@ def test_classify_equilibrium_all_classes():
     assert rep.gradient_norm > 1.0
 
 
+def _disjoint_paths(sizes):
+    """Paths of the given vertex counts on consecutive vertex ranges; a
+    size of 2 is an isolated edge, a size of 1 an isolated vertex."""
+    starts = np.cumsum([0] + sizes[:-1])
+    edges = [np.column_stack(gen_named("path", k).edge_arrays()) + at
+             for k, at in zip(sizes, starts)]
+    return Graph(int(sum(sizes)), np.concatenate(edges))
+
+
 @st.composite
 def hessian_states(draw):
     """(graph, state, kind) on either side of the sparse-classification crossover."""
@@ -561,7 +578,7 @@ def hessian_states(draw):
     n = draw(st.integers(_SPARSE_MIN_N, _SPARSE_MIN_N + 40) if sparse else st.integers(3, 40),
              label="n")
     kind = draw(st.sampled_from(
-        ["twisted_cycle", "er", "star_antipodal", "edgeless", "two_components"]), label="kind")
+        ["twisted_cycle", "er", "star_antipodal", "edgeless", "components"]), label="kind")
     seed = draw(st.integers(0, 2 ** 16), label="seed")
     # near-synchronized states keep every edge weight positive
     spread = draw(st.sampled_from([0.05, np.pi]), label="spread")
@@ -577,18 +594,28 @@ def hessian_states(draw):
         return gen_named("star", n), theta, kind
     if kind == "edgeless":
         return gen_erdos_renyi(n, 0.0, seed), theta, kind
-    # two paths, often identical, at the synchronized state or a random one
-    k = draw(st.one_of(st.just(n // 2), st.integers(1, n - 1)), label="split")
-    eu, ev = gen_named("path", k).edge_arrays()
-    fu, fv = gen_named("path", n - k).edge_arrays()
-    edges = np.concatenate([np.column_stack((eu, ev)), np.column_stack((fu, fv)) + k])
+    # 2-7 paths, often identical, then isolated edges and isolated vertices,
+    # at the synchronized state or a random one
+    c = draw(st.integers(2, min(7, n)), label="paths")
+    sizes = draw(st.just([n // c] * c) | st.lists(st.integers(1, n // c), min_size=c,
+                                                   max_size=c), label="path sizes")
+    free = n - sum(sizes)
+    pairs = draw(st.integers(0, free // 2), label="isolated edges")
+    g = _disjoint_paths(sizes + [2] * pairs + [1] * (free - 2 * pairs))
     if spread < 1:
-        return Graph(n, edges), np.zeros(n), "two_components_synchronized"
-    return Graph(n, edges), theta, kind
+        return g, np.zeros(n), "components_synchronized"
+    return g, theta, kind
+
+
+# sparse states on three paths, two isolated edges and two isolated vertices
+_SPARSE_PIECES = [120, 100, 80, 2, 2, 1, 1]
 
 
 @settings(max_examples=120, deadline=None)
 @given(hessian_states())
+@example((_disjoint_paths(_SPARSE_PIECES), np.zeros(306), "components_synchronized"))
+@example((_disjoint_paths(_SPARSE_PIECES), random_phases(306, 4), "components"))
+@example((_disjoint_paths([102] * 3), random_phases(306, 5), "components"))
 def test_classification_matches_dense_qr_oracle(state):
     g, theta, kind = state
     event(f"{kind}, {'sparse' if g.n >= _SPARSE_MIN_N else 'dense'}")
@@ -600,8 +627,30 @@ def test_classification_matches_dense_qr_oracle(state):
     want = "stable" if ref > eig_tol else "strict_saddle" if ref < -eig_tol else "degenerate"
     assert rep.classification == want
     assert abs(rep.hessian_min_eig_orth - ref) <= 1e-9 * max(d_max, 1)
-    if kind in ("edgeless", "two_components_synchronized"):
+    if kind in ("edgeless", "components_synchronized"):
         assert want == "degenerate"
+
+
+def test_disconnected_state_takes_one_eigensolve(monkeypatch):
+    # two components, each large enough for the sparse solver on its own:
+    # the per-component mean shift classifies both with one eigsh call
+    real, calls = spectral.eigsh, []
+
+    def counted(op, **kwargs):
+        calls.append(kwargs["ncv"])
+        return real(op, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", counted)
+    a = gen_erdos_renyi(_SPARSE_MIN_N + 20, 10 / _SPARSE_MIN_N, 1)
+    b = gen_erdos_renyi(_SPARSE_MIN_N + 30, 10 / _SPARSE_MIN_N, 2)
+    edges = np.concatenate([np.column_stack(a.edge_arrays()),
+                            np.column_stack(b.edge_arrays()) + a.n])
+    g = Graph(a.n + b.n, edges)
+    theta = random_phases(g.n, 3)
+    rep = classify_equilibrium(g, theta, grad_tol=1e6)
+    assert len(calls) == 1
+    ref = dense_min_eig_orthogonal(dense_hessian(g, theta))
+    assert abs(rep.hessian_min_eig_orth - ref) <= 1e-9 * int(g.degrees.max())
 
 
 def _no_convergence(op, **kwargs):

@@ -72,6 +72,40 @@ def test_named_family_errors():
         gen_named("hypercube", 8)
 
 
+# every source of a graph takes its vertex count through one check
+_N_SOURCES = {
+    "Graph": lambda n: Graph(n, []),
+    **{f"gen_named-{family}": (lambda n, family=family: gen_named(family, n))
+       for family in ("cycle", "path", "complete", "star", "two_cliques_bridged")},
+    "gen_erdos_renyi": lambda n: gen_erdos_renyi(n, 0.5, 0),
+    "gen_random_regular": lambda n: gen_random_regular(n, 2, 0),
+}
+_NOT_COUNTS = (10.0, np.float64(6.0), True, False, "6", None, -3)
+
+
+@pytest.mark.parametrize("source, bad", [
+    *((source, bad) for source in _N_SOURCES for bad in _NOT_COUNTS + (0,)),
+    *(("gen_random_regular-d", bad) for bad in _NOT_COUNTS + (1.5,)),
+])
+def test_graph_sources_reject_a_count_that_is_not_an_integer(source, bad):
+    # a float, a bool, a string or None is never truncated or coerced:
+    # gen_random_regular(4, 1.5, 0) once built a 1-regular graph and
+    # gen_named("complete", True) a K_1
+    if source == "gen_random_regular-d":
+        with pytest.raises(InputError, match="degree must be a non-negative integer"):
+            gen_random_regular(4, bad, 0)
+    else:
+        with pytest.raises(InputError, match="vertex count must be a positive integer"):
+            _N_SOURCES[source](bad)
+
+
+def test_graph_sources_accept_numpy_integer_counts():
+    assert Graph(np.int64(3), []).n == 3
+    assert gen_named("path", np.int32(4)).m == 3
+    assert gen_erdos_renyi(np.int64(5), 1.0, 0).m == 10
+    assert gen_random_regular(np.int64(6), np.int64(2), 0).m == 6
+
+
 def test_constructor_normalizes_edges():
     # duplicates in either orientation collapse to one edge
     g = Graph(4, [(0, 1), (1, 0), (0, 1), (2, 3)])
