@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BracketError, DomainError, InputError, ScheduleError
-from .spectral import ExpanderProfile, json_number, read_json, record_json, write_csv, write_json
+from .spectral import ExpanderProfile, json_number
 
 __all__ = [
     "OrderParamBounds",
@@ -142,9 +142,6 @@ class CertResult:
     condition2: float
     reasons: tuple = ()
 
-    def to_json_dict(self):
-        return record_json(self)
-
 
 def theorem_condition(profile):
     """Closed-form sufficient condition on (alpha, c_minus, c_plus).
@@ -228,9 +225,6 @@ class Schedule:
             if isinstance(s, TailStep) and i != len(steps) - 1:
                 raise InputError("a tail step must be the last step")
 
-    def to_json_dict(self):
-        return record_json(self)
-
     @classmethod
     def from_json_dict(cls, data):
         raw = data.get("steps") if isinstance(data, dict) else None
@@ -250,13 +244,6 @@ class Schedule:
                     f"step {i} ({kind}) needs numeric {' and '.join(names)}, got {d!r}"
                 ) from None
         return cls(steps=tuple(steps))
-
-    def save(self, path):
-        write_json(path, self.to_json_dict())
-
-    @classmethod
-    def load(cls, path):
-        return cls.from_json_dict(read_json(path))
 
 
 def preset_regular_schedule():
@@ -286,9 +273,6 @@ class TraceRow:
     cap_hit: str  # none | alpha_n | half_n
     status: str  # ok | infeasible | below_zero
 
-    def to_json_dict(self):
-        return record_json(self)
-
 
 @dataclass(frozen=True)
 class AmplificationTrace:
@@ -299,13 +283,6 @@ class AmplificationTrace:
     mode: str
     alpha: float
     reason: str = ""
-
-    def to_json_dict(self):
-        return record_json(self)
-
-    def to_csv(self, path):
-        write_csv(path, ["k", "beta_k", "mass_frac", "step_kind"],
-                  ((r.k, r.beta, r.mass_frac, r.step_kind) for r in self.rows))
 
 
 class _Refuted(Exception):

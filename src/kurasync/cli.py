@@ -15,6 +15,8 @@ handler has returned (so a run that fails on its input leaves no
 directory behind), it creates the directory and writes the sidecars there
 in order, then report.json. The merged options hold only
 options that are set, so a handler's default is cfg.get(key, default).
+The library's results are plain records: this module alone shapes them
+into report blocks (record_json) and sidecars (write_json, write_csv).
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .spectral import (
     degree_bounds_from_profile,
     expander_profile,
     read_json,
+    record_json,
     write_csv,
     write_json,
 )
@@ -285,16 +288,16 @@ def _cmd_profile(cfg):
     lo, hi = degree_bounds_from_profile(prof)
     report = {
         "graph": _graph_summary(g) | src,
-        "profile": prof.to_json_dict(),
+        "profile": record_json(prof),
         "degree_bounds_implied": {"lower": lo, "upper": hi},
     }
     status = 0
     if trials:
         seed = _require(cfg, "seed", "when --trials is set")
         mix = check_mixing_bounds(g, prof, trials=trials, seed=seed)
-        report["mixing"] = mix.to_json_dict()
+        report["mixing"] = record_json(mix) | {"worst_slack": mix.worst() if mix.entries else None}
         status = 0 if mix.passed else 1
-    return report, status, {"profile.json": prof.save}
+    return report, status, {"profile.json": lambda p: write_json(p, record_json(prof))}
 
 
 def _replay(path, mode):
@@ -302,7 +305,7 @@ def _replay(path, mode):
     command-line mode: the schedule file at path if one is given, else the
     preset in numeric mode and None, the aggregate proof, in paper-proof mode."""
     if path:
-        return Schedule.load(path), mode.replace("-", "_"), str(path)
+        return Schedule.from_json_dict(read_json(path)), mode.replace("-", "_"), str(path)
     if mode == "numeric":
         return preset_regular_schedule(), "numeric", "preset"
     return None, "paper_proof", "auto"
@@ -316,19 +319,22 @@ def _cmd_certify(cfg):
         for key in ("tol", "seed"):
             if key in cfg:
                 raise InputError(f"--{key} does not apply to certify --profile")
-        prof = ExpanderProfile.load(cfg["profile"])
-        report = {"profile": prof.to_json_dict(), "profile_source": str(cfg["profile"])}
+        prof = ExpanderProfile.from_json_dict(read_json(cfg["profile"]))
+        report = {"profile": record_json(prof), "profile_source": str(cfg["profile"])}
     else:
         g, src = _load_graph(cfg)
         prof = _measure_profile(g, cfg)
-        report = {"graph": _graph_summary(g) | src, "profile": prof.to_json_dict()}
+        report = {"graph": _graph_summary(g) | src, "profile": record_json(prof)}
     schedule, mode, _ = _replay(cfg.get("schedule"), cfg.get("mode", "paper-proof"))
     closed = theorem_condition(prof)
     trace = amplification_run(prof, schedule, mode=mode)
-    report["closed_form"] = closed.to_json_dict()
-    report["amplification"] = trace.to_json_dict()
+    report["closed_form"] = record_json(closed)
+    report["amplification"] = record_json(trace)
     report["verdict"] = trace.verdict
-    return report, 0 if trace.verdict == "pass" else 1, {"trace.csv": trace.to_csv}
+    return report, 0 if trace.verdict == "pass" else 1, {
+        "trace.csv": lambda p: write_csv(p, ["k", "beta_k", "mass_frac", "step_kind"], (
+            (r.k, r.beta, r.mass_frac, r.step_kind) for r in trace.rows)),
+    }
 
 
 def _cmd_simulate(cfg):
@@ -371,7 +377,8 @@ def _cmd_simulate(cfg):
     }
     cols = list(rows[0].keys())
     return report, 0, {
-        "flow.csv": first.to_csv,
+        "flow.csv": lambda p: write_csv(p, ["time", "energy", "grad_norm", "rho1"], zip(
+            first.times, first.energies, first.grad_norms, first.rho1s)),
         "runs.csv": lambda p: write_csv(p, cols, ([r[c] for c in cols] for r in rows)),
     }
 
@@ -396,7 +403,7 @@ def _cmd_er_predict(cfg):
     gamma = _require(cfg, "gamma", "for a prediction")
     eps = _require(cfg, "eps", "for a prediction")
     pred = er_prediction(n, gamma, eps)
-    report = {"prediction": pred.to_json_dict()}
+    report = {"prediction": record_json(pred)}
     return report, 0 if pred.verdict == CERTIFIABLE_VERDICT else 1, {}
 
 
@@ -456,7 +463,7 @@ def _sweep_er_sample(cfg):
     report = {
         "kind": "er-sample",
         "samples": samples,
-        "prediction": pred.to_json_dict(),
+        "prediction": record_json(pred),
         "profiles_inside_certified_window": inside,
         "mean_measured_alpha": float(np.mean([r[1] for r in rows])),
     }
@@ -499,6 +506,7 @@ def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = _merge_config(args, parser)
+    _count(cfg, "seed", 0, 0)  # numpy takes no negative seed
     body, status, sidecars = _DISPATCH[cfg["command"]](cfg)
     report = {
         "command": cfg["command"],

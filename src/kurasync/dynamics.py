@@ -15,7 +15,7 @@ from scipy.sparse import csr_matrix
 
 from .errors import InputError
 from .graphs import _is_integer
-from .spectral import _extreme_eigenpair, write_csv
+from .spectral import _extreme_eigenpair
 
 __all__ = [
     "wrap_phases",
@@ -163,7 +163,7 @@ def hessian(g, theta):
 
 def daido(theta, k=1):
     """Order parameter rho_k = (1/n) sum_x exp(i k theta_x)."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if not _is_integer(k) or k < 1:
         raise InputError(f"order parameter index must be a positive integer, got {k!r}")
     theta = np.asarray(theta, dtype=np.float64)
     return complex(np.mean(np.exp(1j * k * theta)))
@@ -178,10 +178,6 @@ class FlowResult:
     energies: np.ndarray
     grad_norms: np.ndarray
     rho1s: np.ndarray
-
-    def to_csv(self, path):
-        write_csv(path, ["time", "energy", "grad_norm", "rho1"],
-                  zip(self.times, self.energies, self.grad_norms, self.rho1s))
 
 
 @dataclass

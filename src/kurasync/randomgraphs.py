@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .certify import GENERAL_ALPHA_SUP
 from .errors import BracketError, ConsistencyError, DomainError, InputError, NumericalError
-from .spectral import record_json
+from .graphs import _is_integer
 
 __all__ = [
     "h_func",
@@ -212,9 +212,6 @@ class ErPrediction:
     failure_prob_bound: float
     verdict: str
 
-    def to_json_dict(self):
-        return record_json(self)
-
 
 def er_prediction(n, gamma, eps):
     """Assemble the predicted profile of G(n, p) with its failure bound.
@@ -222,8 +219,9 @@ def er_prediction(n, gamma, eps):
     alpha_pred = 6 / sqrt(gamma * log n) is honest about finite n: when it
     exceeds 1/5 no certificate can follow and the verdict says so.
     """
-    if not (isinstance(n, (int,)) and n >= 3):
+    if not (_is_integer(n) and n >= 3):
         raise InputError(f"need integer n >= 3, got {n!r}")
+    n = int(n)
     logn, p = _log_n_and_p(n, gamma)
     if p > 1.0:
         raise DomainError(f"gamma * log n / n = {p:.4f} exceeds 1 at n={n}")

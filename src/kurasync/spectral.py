@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import InputError, NumericalError
-from .graphs import edges_between
+from .graphs import _is_integer, edges_between
 
 __all__ = [
     "ExpanderProfile",
@@ -122,9 +122,6 @@ class ExpanderProfile:
         if self.source not in ("measured", "asserted"):
             raise InputError(f"profile source must be measured|asserted, got {self.source!r}")
 
-    def to_json_dict(self):
-        return record_json(self)
-
     @classmethod
     def from_json_dict(cls, obj):
         try:
@@ -139,13 +136,6 @@ class ExpanderProfile:
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed profile JSON: {exc}")
-
-    def save(self, path):
-        write_json(path, self.to_json_dict())
-
-    @classmethod
-    def load(cls, path):
-        return cls.from_json_dict(read_json(path))
 
 
 def _centered_adjacency_matvec(g, d_ref):
@@ -211,8 +201,6 @@ def _extreme_eigenpair(mv, n, which, tol_abs, norm_bound=None):
     tol = 0 if norm_bound is None else tol_abs / norm_bound
     best = None
     for ncv in (min(n - 1, 20), min(n - 1, 60), min(n - 1, 160)):
-        if ncv < 3:
-            break
         try:
             vals, vecs = eigsh(op, k=1, which=which, v0=v0, ncv=ncv, maxiter=200 * n, tol=tol)
         except ArpackNoConvergence:
@@ -293,9 +281,6 @@ class MixingEntry:
     upper: float | None
     slack: float
 
-    def to_json_dict(self):
-        return record_json(self)
-
 
 @dataclass(frozen=True)
 class MixingReport:
@@ -308,12 +293,6 @@ class MixingReport:
 
     def worst(self):
         return min((e.slack for e in self.entries), default=float("inf"))
-
-    def violations(self):
-        return [e for e in self.entries if e.slack < -self.allowance]
-
-    def to_json_dict(self):
-        return record_json(self) | {"worst_slack": self.worst() if self.entries else None}
 
 
 def _candidate_battery(g):
@@ -459,8 +438,8 @@ def check_mixing_bounds(g, profile, trials, seed):
     here, and failed extreme eigensolves (adversarial_LA, adversarial_SA),
     are reported in skipped, never silently passed.
     """
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
+    if not _is_integer(trials) or trials < 1:
+        raise InputError(f"trials must be a positive integer, got {trials!r}")
     if profile.source != "measured":
         raise InputError("mixing check requires a measured profile")
     if profile.n != g.n:

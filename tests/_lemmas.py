@@ -3,8 +3,9 @@
 Each function evaluates one step of an argument the certificate rests on:
 the half-circle and kernel-stability lemmas about stable states, the cubic
 fixed point of the order-parameter recursion and the recursion's validity
-limit, the degree-to-profile implication, and the G(n, p) tail, norm and
-concentration bounds behind the p >= (1 + eps) log n / n theorem. The
+limit, the degree-to-profile implication, the mixing inequalities a
+report fails on, and the G(n, p) tail, norm and concentration bounds
+behind the p >= (1 + eps) log n / n theorem. The
 tests check them against brute force, Monte Carlo and the library's own
 recursion; the package itself calls none of them.
 """
@@ -165,6 +166,12 @@ def degree_implies_profile(d_min, d_max, alpha, d_ref):
     if d_min > d_max:
         raise InputError(f"d_min {d_min} exceeds d_max {d_max}")
     return d_min / d_ref - 1.0 - alpha, d_max / d_ref - 1.0 + alpha
+
+
+def mixing_violations(report):
+    """The entries of a MixingReport whose slack lies below -allowance, the
+    mixing inequalities the measured profile fails on."""
+    return [e for e in report.entries if e.slack < -report.allowance]
 
 
 # -- G(n, p) tail, norm and concentration bounds ----------------------------

@@ -451,9 +451,10 @@ def flow_reference(g, theta0, grad_tol=1e-10, step_cap=10 ** 6, dt_init=None):
 
 
 # Frozen copies of the four CSV writers as they stood before all CSV went
-# through spectral.write_csv: FlowResult.to_csv, AmplificationTrace.to_csv,
-# simulate's runs.csv block and the sweeps' writer. Every sidecar the CLI
-# writes must match them byte for byte.
+# through spectral.write_csv: the flow.csv and trace.csv writers (then
+# methods of FlowResult and AmplificationTrace), simulate's runs.csv block
+# and the sweeps' writer. Every CSV sidecar the CLI writes must match them
+# byte for byte.
 
 def flow_csv_reference(path, res):
     """flow.csv from a FlowResult; its fields hold np.float64 values."""

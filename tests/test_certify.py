@@ -34,10 +34,10 @@ from kurasync import (
     preset_regular_schedule,
     theorem_condition,
 )
-from kurasync import certify
+from kurasync import certify, cli
 from kurasync.certify import TraceRow
 from kurasync.randomgraphs import ErPrediction
-from kurasync.spectral import MixingEntry, MixingReport
+from kurasync.spectral import MixingEntry, MixingReport, read_json, record_json, write_json
 
 from _lemmas import cubic_root_a, order_param_validity_limit
 from _oracles import amplification_reference, sign_scan_roots
@@ -179,7 +179,7 @@ def test_theorem_condition_cases():
     res = theorem_condition(regular_profile(0.25))
     assert any("1/5" in r for r in res.reasons)
 
-    obj = res.to_json_dict()
+    obj = record_json(res)
     assert obj["verdict"] == "fail" and isinstance(obj["reasons"], list)
 
 
@@ -206,17 +206,17 @@ def test_schedule_validation():
 
 def test_schedule_json_round_trip(tmp_path):
     sched = preset_regular_schedule()
-    again = Schedule.from_json_dict(sched.to_json_dict())
+    again = Schedule.from_json_dict(record_json(sched))
     assert again == sched
 
     path = tmp_path / "schedule.json"
-    sched.save(path)
-    assert Schedule.load(path) == sched
+    write_json(path, record_json(sched))
+    assert Schedule.from_json_dict(read_json(path)) == sched
 
     # JSON ints are numbers, as in --config, and load as floats
     ints = Schedule.from_json_dict({"steps": [{"kind": "tail", "eps": 1}]})
-    assert json.dumps(ints.to_json_dict()) == json.dumps(
-        Schedule(steps=(TailStep(eps=1.0),)).to_json_dict())
+    assert json.dumps(record_json(ints)) == json.dumps(
+        record_json(Schedule(steps=(TailStep(eps=1.0),))))
     with pytest.raises(InputError):
         Schedule.from_json_dict({"steps": [{"kind": "sideways", "eps": 0.1}]})
     with pytest.raises(InputError):
@@ -317,26 +317,26 @@ PINNED_JSON = [
                           allowance=1e-06, trials=4, seed=0),
      '{"allowance": 1e-06, "entries": [{"X_size": 3, "Y_size": 7, "lemma": "cut", '
      '"lower": null, "slack": 0.5, "upper": 4.75, "value": 2.5}], "passed": true, '
-     '"seed": 0, "skipped": ["nested_cut"], "trials": 4, "worst_slack": 0.5}'),
+     '"seed": 0, "skipped": ["nested_cut"], "trials": 4}'),
 ]
 
 
 @pytest.mark.parametrize("make, text", PINNED_JSON)
 def test_record_json_text_is_pinned(make, text, tmp_path):
     record = make()
-    assert json.dumps(record.to_json_dict(), sort_keys=True) == text
-    if hasattr(record, "save"):
+    assert json.dumps(record_json(record), sort_keys=True) == text
+    if hasattr(record, "from_json_dict"):
         path = tmp_path / "record.json"
-        record.save(path)
+        write_json(path, record_json(record))
         assert path.read_text(encoding="utf-8") == (
             json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n")
-        assert type(record).load(path) == record
+        assert type(record).from_json_dict(read_json(path)) == record
 
 
 def engine_outcome(run, *args, **kwargs):
     """The trace's JSON text, or the type and message of what run raised."""
     try:
-        return json.dumps(run(*args, **kwargs).to_json_dict(), sort_keys=True)
+        return json.dumps(record_json(run(*args, **kwargs)), sort_keys=True)
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -518,13 +518,15 @@ def test_min_ramanujan_degree():
 def test_trace_csv(tmp_path):
     tr = amplification_run(regular_profile(0.0816), preset_regular_schedule(),
                            mode="numeric")
-    path = tmp_path / "trace.csv"
-    tr.to_csv(path)
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
+    prof = tmp_path / "profile.json"
+    write_json(prof, record_json(regular_profile(0.0816)))
+    out = tmp_path / "cert"
+    bundle = cli.run(["certify", "--profile", str(prof), "--mode", "numeric", "--out", str(out)])
+    lines = (out / "trace.csv").read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "k,beta_k,mass_frac,step_kind"
     assert len(lines) == len(tr.rows) + 1
     assert float(lines[-1].split(",")[1]) == tr.rows[-1].beta
 
-    obj = tr.to_json_dict()
-    assert obj["verdict"] == "pass"
+    obj = bundle.report["amplification"]
+    assert bundle.exit_status == 0 and obj["verdict"] == "pass"
     assert len(obj["rows"]) == len(tr.rows)

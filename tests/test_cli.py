@@ -48,7 +48,7 @@ from kurasync import (
 from kurasync.certify import GENERAL_ALPHA_SUP, preset_regular_schedule
 from kurasync.cli import _subcommand_flags, build_parser, main, run
 from kurasync.randomgraphs import CERTIFIABLE_VERDICT
-from kurasync.spectral import ExpanderProfile
+from kurasync.spectral import ExpanderProfile, read_json, record_json, write_json
 
 CYCLE_CAP = "20000"
 
@@ -162,10 +162,10 @@ def test_certify_complete_graph_fails_closed_form(main_cli):
 
 def test_certify_saved_profile_passes(tmp_path, main_cli):
     prof_path = tmp_path / "profile.json"
-    ExpanderProfile(n=600, d_ref=600.0, alpha=0.0816, c_minus=-0.0816,
-                    c_plus=0.0816).save(prof_path)
+    write_json(prof_path, record_json(ExpanderProfile(n=600, d_ref=600.0, alpha=0.0816,
+                                                      c_minus=-0.0816, c_plus=0.0816)))
     sched_path = tmp_path / "schedule.json"
-    preset_regular_schedule().save(sched_path)
+    write_json(sched_path, record_json(preset_regular_schedule()))
     out = tmp_path / "run"
     proc = main_cli("certify", "--profile", str(prof_path), "--mode", "numeric",
                    "--schedule", str(sched_path), "--out", str(out))
@@ -187,7 +187,8 @@ def test_certify_requires_exactly_one_source(tmp_path, main_cli):
     assert "error:" in proc.stderr
 
     prof_path = tmp_path / "p.json"
-    ExpanderProfile(n=5, d_ref=2.0, alpha=0.1, c_minus=-0.1, c_plus=0.1).save(prof_path)
+    write_json(prof_path, record_json(ExpanderProfile(n=5, d_ref=2.0, alpha=0.1,
+                                                      c_minus=-0.1, c_plus=0.1)))
     proc = main_cli("certify", "--gen", "cycle:5", "--profile", str(prof_path))
     assert proc.returncode == 2
 
@@ -203,7 +204,7 @@ def test_certify_requires_exactly_one_source(tmp_path, main_cli):
 
 def test_certify_numeric_without_schedule_replays_the_preset(tmp_path):
     path = tmp_path / "preset.json"
-    preset_regular_schedule().save(path)
+    write_json(path, record_json(preset_regular_schedule()))
     argv = ["certify", "--gen", "regular:600,120", "--seed", "7", "--mode", "numeric"]
     bare, given = run(argv), run([*argv, "--schedule", str(path)])
     assert bare.exit_status == given.exit_status
@@ -385,7 +386,7 @@ def test_unbounded_tolerance_exits_2(tmp_path):
 def test_threshold_replays_schedule_in_paper_proof_mode(tmp_path, main_cli):
     # a given schedule is replayed in the mode asked for, as certify does
     path = tmp_path / "schedule.json"
-    preset_regular_schedule().save(path)
+    write_json(path, record_json(preset_regular_schedule()))
     proc = main_cli("threshold", "--schedule", str(path), "--mode", "paper-proof")
     assert proc.returncode == 0, proc.stderr
     rep = report_from(proc)
@@ -538,6 +539,12 @@ COUNT_CASES = [
     (ER_SAMPLE, "samples", -1, 2),
     (["profile", "--gen", "cycle:10", "--seed", "0"], "trials", -1, 2),
     (["profile", "--gen", "cycle:10", "--seed", "0"], "trials", 0, 0),
+    # numpy rejects a negative seed with a ValueError traceback and exit 1
+    (["generate", "--gen", "er:10,0.5"], "seed", -1, 2),
+    (["generate", "--gen", "er:10,0.5"], "seed", 0, 0),
+    (["simulate", "--gen", "cycle:10"], "seed", -1, 2),
+    (["profile", "--gen", "cycle:20", "--trials", "3"], "seed", -1, 2),
+    (ER_SAMPLE[:-2], "seed", -1, 2),
 ]
 
 
@@ -553,7 +560,7 @@ def test_count_options_reject_values_below_their_limit(tmp_path, main_cli, argv,
         proc = main_cli(*argv, *args)
         assert proc.returncode == status, (args, proc.stderr)
         if status == 2:
-            least = 0 if key in ("step_cap", "trials") else 1
+            least = 0 if key in ("step_cap", "trials", "seed") else 1
             assert proc.stderr == f"error: {flag} must be at least {least}, got {value}\n"
         else:
             assert report_from(proc)["config"][key] == value
@@ -611,13 +618,13 @@ def test_csv_sidecars_match_frozen_writers(tmp_path):
 
     prof = ExpanderProfile(n=600, d_ref=600.0, alpha=0.0816, c_minus=-0.0816,
                            c_plus=0.0816)
-    prof.save(tmp_path / "profile.json")
-    preset_regular_schedule().save(tmp_path / "schedule.json")
+    write_json(tmp_path / "profile.json", record_json(prof))
+    write_json(tmp_path / "schedule.json", record_json(preset_regular_schedule()))
     for mode in ("numeric", "paper-proof"):
         schedule = ["--schedule", str(tmp_path / "schedule.json")] if mode == "numeric" else []
         out, _ = sidecars(mode, "certify", "--profile", str(tmp_path / "profile.json"),
                           "--mode", mode, *schedule)
-        sched = Schedule.load(tmp_path / "schedule.json") if schedule else None
+        sched = Schedule.from_json_dict(read_json(tmp_path / "schedule.json")) if schedule else None
         check(out / "trace.csv", trace_csv_reference,
               amplification_run(prof, sched, mode=mode.replace("-", "_")))
 

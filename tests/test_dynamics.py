@@ -263,11 +263,11 @@ def test_flow_rejects_bad_arguments():
 
 
 def test_flow_csv_round_trip(tmp_path):
+    # flow.csv is run 0 of simulate, the flow from random_phases(n, seed)
     g = gen_named("complete", 6)
     res = flow(g, random_phases(6, 3))
-    path = tmp_path / "flow.csv"
-    res.to_csv(path)
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
+    cli.run(["simulate", "--gen", "complete:6", "--seed", "3", "--out", str(tmp_path)])
+    lines = (tmp_path / "flow.csv").read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "time,energy,grad_norm,rho1"
     assert len(lines) == len(res.times) + 1
     last = [float(tok) for tok in lines[-1].split(",")]

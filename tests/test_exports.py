@@ -1,9 +1,11 @@
-"""The package defines no public function or class that it does not use.
+"""The package defines no public function, class or method that it does not use.
 
 A helper that only tests call belongs in the tests (see tests/_lemmas.py),
-so every public module-level function and class in src/kurasync must be
-named by some code of the package outside its own definition. The
-re-exports of kurasync/__init__.py do not count as a use.
+so every public module-level function and class in src/kurasync, and every
+public method of a class there, must be named by some code of the package
+outside its own definition. Names are matched, not resolved: a method counts
+as used wherever an attribute of that name is read. The re-exports of
+kurasync/__init__.py do not count as a use.
 """
 
 import ast
@@ -26,11 +28,21 @@ def _modules():
             for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
 
 
-def _public_definitions(modules):
-    """(module, name, node) for each public top-level function and class."""
-    return [(mod, node.name, node) for mod, tree in modules.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+def _public(nodes):
+    return [node for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_")]
+
+
+def _public_definitions(modules):
+    """(module, qualified name, node) for each public top-level function and
+    class, and each public method of a top-level class."""
+    defs = []
+    for mod, tree in modules.items():
+        defs += [(mod, node.name, node) for node in _public(tree.body)]
+        defs += [(mod, f"{cls.name}.{node.name}", node)
+                 for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for node in _public(cls.body) if isinstance(node, ast.FunctionDef)]
+    return defs
 
 
 def _uses(tree, skip):
@@ -52,8 +64,8 @@ def test_every_public_definition_is_used_by_the_package():
     defs = _public_definitions(modules)
     used = {mod: _uses(tree, None) for mod, tree in modules.items()}
     unused = [(mod, name) for mod, name, node in defs
-              if name not in _uses(modules[mod], node) and not any(
-                  name in names for other, names in used.items() if other != mod)]
+              if node.name not in _uses(modules[mod], node) and not any(
+                  node.name in names for other, names in used.items() if other != mod)]
     extra = [f"{mod}.{name}" for mod, name in unused if name not in UNUSED_OK]
     assert extra == [], f"public but used by nothing in the package: {extra}"
     # the allowlist names only definitions that exist and are unused, so an

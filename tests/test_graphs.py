@@ -16,8 +16,12 @@ from kurasync import (
     GenerationError,
     Graph,
     InputError,
+    check_mixing_bounds,
+    daido,
     degree_extrema,
     edges_between,
+    er_prediction,
+    expander_profile,
     gen_erdos_renyi,
     gen_named,
     gen_random_regular,
@@ -104,6 +108,27 @@ def test_graph_sources_accept_numpy_integer_counts():
     assert gen_named("path", np.int32(4)).m == 3
     assert gen_erdos_renyi(np.int64(5), 1.0, 0).m == 10
     assert gen_random_regular(np.int64(6), np.int64(2), 0).m == 6
+
+
+# the other counts of the library take the same integer check: (call, a valid count)
+_C8 = gen_named("cycle", 8)
+_COUNTS = {
+    "check_mixing_bounds-trials": (
+        lambda k: check_mixing_bounds(_C8, expander_profile(_C8), trials=k, seed=0), 3),
+    "er_prediction-n": (lambda k: er_prediction(k, 3.0, 0.25), 100_000),
+    "daido-k": (lambda k: daido(np.linspace(0.0, 1.0, 5), k), 2),
+}
+
+
+@pytest.mark.parametrize("count", _COUNTS)
+def test_library_counts_are_integers(count):
+    # check_mixing_bounds(trials=2.5) raised TypeError and took trials=True,
+    # er_prediction rejected np.int64(100000), and daido took True as k = 1
+    call, good = _COUNTS[count]
+    for bad in (2.5, np.float64(3.0), True):
+        with pytest.raises(InputError, match="integer"):
+            call(bad)
+    assert call(np.int64(good)) == call(good)
 
 
 def test_constructor_normalizes_edges():

@@ -32,6 +32,7 @@ from kurasync.randomgraphs import (
     VACUOUS_VERDICT,
     _brent,
 )
+from kurasync.spectral import record_json
 
 from _lemmas import (
     SYMMETRIZATION_MILESTONES,
@@ -212,7 +213,7 @@ def test_er_prediction_fields_and_verdict():
     assert pred.alpha_pred <= 0.2
     assert pred.verdict == CERTIFIABLE_VERDICT
 
-    keys = set(pred.to_json_dict())
+    keys = set(record_json(pred))
     assert keys == {
         "n", "gamma", "eps", "p", "d_ref", "alpha_pred", "c_minus_pred",
         "c_plus_pred", "c_minus_eps", "c_plus_eps", "failure_prob_bound",

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from kurasync import spectral
+from kurasync import cli, spectral
 from kurasync import (
     ExpanderProfile,
     Graph,
@@ -31,9 +31,11 @@ from kurasync import (
     gen_erdos_renyi,
     gen_named,
     gen_random_regular,
+    write_edge_list,
 )
+from kurasync.spectral import read_json, record_json, write_json
 
-from _lemmas import degree_implies_profile
+from _lemmas import degree_implies_profile, mixing_violations
 from _oracles import (
     candidate_battery_reference,
     dense_adjacency,
@@ -186,12 +188,12 @@ def test_profile_validation_errors():
 def test_profile_json_round_trip(tmp_path):
     prof = ExpanderProfile(n=50, d_ref=7.5, alpha=0.12, c_minus=-0.3,
                            c_plus=0.25, tol=1e-7, source="measured")
-    again = ExpanderProfile.from_json_dict(prof.to_json_dict())
+    again = ExpanderProfile.from_json_dict(record_json(prof))
     assert again == prof
 
     path = tmp_path / "profile.json"
-    prof.save(path)
-    assert ExpanderProfile.load(path) == prof
+    write_json(path, record_json(prof))
+    assert ExpanderProfile.from_json_dict(read_json(path)) == prof
     # file is plain JSON with all fields present
     obj = json.loads(path.read_text(encoding="utf-8"))
     assert set(obj) == {"n", "d_ref", "alpha", "c_minus", "c_plus", "tol", "source"}
@@ -199,7 +201,7 @@ def test_profile_json_round_trip(tmp_path):
     # JSON ints are numbers for the float fields, as in --config, and load as floats
     ints = ExpanderProfile.from_json_dict(dict(obj, d_ref=8, alpha=0, tol=0))
     floats = dataclasses.replace(prof, d_ref=8.0, alpha=0.0, tol=0.0)
-    assert json.dumps(ints.to_json_dict()) == json.dumps(floats.to_json_dict())
+    assert json.dumps(record_json(ints)) == json.dumps(record_json(floats))
     for bad in ({"n": 5}, [1, 2], dict(obj, n=float("inf")), dict(obj, d_ref=10 ** 400),
                 dict(obj, n=1.9), dict(obj, n=50.0), dict(obj, n=True), dict(obj, alpha="0.1"),
                 dict(obj, c_minus=True), dict(obj, c_plus=None), dict(obj, tol="0")):
@@ -240,7 +242,7 @@ def test_mixing_bounds_pass_on_true_profiles():
         prof = expander_profile(g)
         rep = check_mixing_bounds(g, prof, trials=50, seed=13)
         assert rep.passed, f"{g}: worst slack {rep.worst()}"
-        assert rep.violations() == []
+        assert mixing_violations(rep) == []
         assert rep.trials == 50 and rep.seed == 13
         lemmas = {e.lemma for e in rep.entries}
         assert lemmas == {
@@ -260,26 +262,32 @@ def test_mixing_bounds_expose_corrupted_alpha():
     corrupted = dataclasses.replace(prof, alpha=prof.alpha / 2.0)
     rep = check_mixing_bounds(g, corrupted, trials=50, seed=0)
     assert not rep.passed
-    bad = rep.violations()
+    bad = mixing_violations(rep)
     assert len(bad) >= 1
     assert {e.lemma for e in bad} == {"internal_pairs"}
 
 
-def test_mixing_bounds_report_shape():
+def test_mixing_bounds_report_shape(tmp_path):
     g = gen_erdos_renyi(100, 0.15, 8)
     prof = expander_profile(g)
     rep = check_mixing_bounds(g, prof, trials=20, seed=3)
     assert rep.allowance == pytest.approx(10.0 * prof.tol * prof.d_ref * g.n)
     assert rep.worst() >= -rep.allowance
-    obj = rep.to_json_dict()
+    obj = record_json(rep)
     assert obj["passed"] is True
-    assert obj["worst_slack"] == rep.worst()
     assert len(obj["entries"]) == len(rep.entries)
     for e in rep.entries:
         if e.lemma in ("nested_cut", "small_set_outflow"):
             assert e.Y_size >= e.X_size
         if e.lemma == "internal_pairs":
             assert e.value % 2 == 0  # double-sum convention
+
+    # the profile report adds the worst slack to the same record
+    write_edge_list(g, tmp_path / "g.txt")
+    mixing = cli.run(["profile", "--graph", str(tmp_path / "g.txt"),
+                      "--trials", "20", "--seed", "3"]).report["mixing"]
+    assert set(mixing) == set(obj) | {"worst_slack"}
+    assert mixing["worst_slack"] == min(e["slack"] for e in mixing["entries"])
 
 
 def test_mixing_bounds_skip_unmeetable_hypotheses():
@@ -359,7 +367,7 @@ def mixing_reports(g, prof, trials, seed):
         return pairs[which, tol_abs]
 
     def report():
-        return json.dumps(check_mixing_bounds(g, prof, trials, seed).to_json_dict())
+        return json.dumps(record_json(check_mixing_bounds(g, prof, trials, seed)))
 
     with mock.patch.object(spectral, "_extreme_eigenpair", eigenpair):
         got = report()
@@ -445,7 +453,7 @@ def test_mixing_bounds_report_a_failed_adversarial_eigensolve():
     with mock.patch.object(spectral, "_extreme_eigenpair", eigenpair):
         rep = check_mixing_bounds(g, prof, trials=10, seed=0)
     assert rep.skipped == ("adversarial_LA",)
-    assert rep.to_json_dict()["skipped"] == ["adversarial_LA"]
+    assert record_json(rep)["skipped"] == ["adversarial_LA"]
 
 
 def subset_counts(g):
