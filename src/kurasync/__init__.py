@@ -55,7 +55,6 @@ from .dynamics import (
 from .certify import (
     AmplificationTrace,
     CertResult,
-    LargeArcStep,
     OrderParamBounds,
     Schedule,
     SmallArcStep,

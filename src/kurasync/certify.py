@@ -7,8 +7,8 @@ ratios of arc masses), so a certificate is independent of graph size:
   lower-bounds rho_1^2 at any stable state, giving the budget
   (1/n) sum_x s(theta_x) <= alpha^2 / a;
 * a closed-form sufficient condition in alpha, c_minus, c_plus;
-* an amplification engine that replays arc-growth steps (small-arc,
-  large-arc, geometric tail) and passes when the certified mass-times-sin^2
+* an amplification engine that replays arc-growth steps (small-arc steps,
+  then a geometric tail) and passes when the certified mass-times-sin^2
   accounting strictly exceeds the budget.
 
 The engine tracks arc mass as a ratio to the unknown starting mass c_0.
@@ -33,7 +33,6 @@ __all__ = [
     "CertResult",
     "theorem_condition",
     "SmallArcStep",
-    "LargeArcStep",
     "TailStep",
     "Schedule",
     "preset_regular_schedule",
@@ -188,14 +187,6 @@ class SmallArcStep:
 
 
 @dataclass(frozen=True)
-class LargeArcStep:
-    """Arc growth once the mass ratio has cleared the (1+c_plus+alpha)/(2*alpha) gate."""
-
-    eps: float
-    kind: str = field(default="large_arc", init=False, repr=False)
-
-
-@dataclass(frozen=True)
 class TailStep:
     """Terminal step: geometric series of large-arc spends driving mass to 1/2."""
 
@@ -203,7 +194,7 @@ class TailStep:
     kind: str = field(default="tail", init=False, repr=False)
 
 
-_STEP_KINDS = {"small_arc": SmallArcStep, "large_arc": LargeArcStep, "tail": TailStep}
+_STEP_KINDS = {"small_arc": SmallArcStep, "tail": TailStep}
 
 
 @dataclass(frozen=True)
@@ -216,7 +207,7 @@ class Schedule:
         if not steps:
             raise InputError("schedule has no steps")
         for i, s in enumerate(steps):
-            if not isinstance(s, (SmallArcStep, LargeArcStep, TailStep)):
+            if not isinstance(s, (SmallArcStep, TailStep)):
                 raise InputError(f"step {i} has unknown type {type(s).__name__}")
             if not s.eps > 0.0:
                 raise InputError(f"step {i}: eps must be positive, got {s.eps}")
@@ -235,7 +226,8 @@ class Schedule:
             kind = d.get("kind") if isinstance(d, dict) else None
             step_type = _STEP_KINDS.get(kind) if isinstance(kind, str) else None
             if step_type is None:
-                raise InputError(f"step {i} must be an object with a known kind, got {d!r}")
+                raise InputError(
+                    f"step {i} must be an object with kind {' or '.join(_STEP_KINDS)}, got {d!r}")
             names = [f.name for f in dataclasses.fields(step_type) if f.init]
             try:
                 steps.append(step_type(**{k: json_number(d, k) for k in names}))
@@ -248,16 +240,12 @@ class Schedule:
 
 def preset_regular_schedule():
     """The hand-tuned schedule for near-regular profiles: three small-arc
-    steps, four large-arc steps, then the tail, all with fixed eps/rho."""
+    steps, then the tail, all with fixed eps/rho."""
     return Schedule(
         steps=(
             SmallArcStep(eps=0.23, rho=0.38),
             SmallArcStep(eps=0.23, rho=0.38),
             SmallArcStep(eps=0.23, rho=0.38),
-            LargeArcStep(eps=0.184),
-            LargeArcStep(eps=0.184),
-            LargeArcStep(eps=0.184),
-            LargeArcStep(eps=0.184),
             TailStep(eps=0.184),
         )
     )
@@ -319,14 +307,23 @@ def _tail_spend(x, delta, paper_proof):
 def _schedule_run(profile, schedule, mode, rows):
     """Replay schedule step by step, appending a row per step; returns the
     certified mass. A step that cannot be taken appends its row, marked
-    with the ratio as it stood before the step, and raises _Refuted."""
+    with the ratio as it stood before the step, and raises _Refuted.
+
+    There is no large-arc step: one at ratio r spends the tail's first sine
+    x = 2(1+c_plus+alpha)/((1+c_minus-eps)*r) and leaves the tail x/(1+delta),
+    so a run of them at the tail's eps is a prefix of the tail. In paper_proof
+    mode pi*x*(1+delta)/(2*delta) is exactly pi*x/2 plus its value at
+    x/(1+delta). Numeric sums agree up to rounding when 400 terms bring the
+    sine below 1e-9 (delta >= 0.0532); else the tail alone spends at least as
+    much, its geometric bound standing in for m exact terms. Caps
+    rho*alpha*sin(beta_k)^2 come only from small-arc steps.
+    """
     alpha, cm, cp = profile.alpha, profile.c_minus, profile.c_plus
     paper_proof = mode == "paper_proof"
     gate = (1.0 + cp + alpha) / (2.0 * alpha) if alpha > 0.0 else math.inf
     beta = 0.5 * math.pi
     ratio = 1.0
     cap_candidates = []
-    saw_small_arc = False
     for i, step in enumerate(schedule.steps, start=1):
         if not step.eps < 1.0 + cm:
             raise ScheduleError(
@@ -334,17 +331,16 @@ def _schedule_run(profile, schedule, mode, rows):
             )
         denom = 1.0 + cm - step.eps
         delta = step.eps / (cp - cm) if cp > cm else math.inf
-        small_arc = isinstance(step, SmallArcStep)
         tail = isinstance(step, TailStep)
-        if small_arc:
+        if not tail:
             x = 2.0 * (1.0 + step.rho) * alpha / denom
-        else:
-            if not (ratio >= gate or saw_small_arc):
-                raise ScheduleError(
-                    f"step {i}: large-arc step before the mass-ratio gate "
-                    f"{gate:.4f} (ratio is {ratio:.4f} and no small-arc cap is available)"
-                )
+        elif ratio >= gate or cap_candidates:
             x = 2.0 * (1.0 + cp + alpha) / (denom * ratio) if math.isfinite(ratio) else 0.0
+        else:
+            raise ScheduleError(
+                f"step {i}: large-arc step before the mass-ratio gate "
+                f"{gate:.4f} (ratio is {ratio:.4f} and no small-arc cap is available)"
+            )
         if x > 1.0:
             rows.append(TraceRow(i, beta, ratio, 0.0, step.kind, "none", "infeasible"))
             raise _Refuted(f"step {i}: required sine {x:.4f} exceeds 1")
@@ -357,13 +353,10 @@ def _schedule_run(profile, schedule, mode, rows):
             rows.append(TraceRow(i, beta, ratio, 0.5, step.kind, "half_n", "ok"))
             return min([0.5 * math.sin(beta) ** 2] + cap_candidates)
         ratio = ratio * (1.0 + delta) if math.isfinite(delta) else math.inf
-        if small_arc:
-            # scenario where the rho*alpha*n cap binds at this step: that
-            # mass sits beyond the new beta and already contributes to the sum
-            cap_candidates.append(step.rho * alpha * math.sin(beta) ** 2)
-            saw_small_arc = True
-        rows.append(TraceRow(i, beta, ratio, 0.0, step.kind,
-                             "alpha_n" if small_arc else "none", "ok"))
+        # scenario where the rho*alpha*n cap binds at this step: that mass
+        # sits beyond the new beta and already contributes to the sum
+        cap_candidates.append(step.rho * alpha * math.sin(beta) ** 2)
+        rows.append(TraceRow(i, beta, ratio, 0.0, step.kind, "alpha_n", "ok"))
     raise _Refuted("schedule has no tail step, so no absolute mass bound exists")
 
 
@@ -417,7 +410,8 @@ def amplification_run(profile, schedule=None, mode="numeric"):
     domain, an infeasible step or exhausted angle, whose row is marked, no
     tail step, a failed closed-form condition) lhs is 0 and rhs the budget,
     or inf if none was computed. A step with eps not below 1 + c_minus, or a
-    large-arc step before its mass-ratio gate, is a ScheduleError.
+    tail before its mass-ratio gate with no small-arc step ahead of it, is a
+    ScheduleError.
     """
     if mode not in ("numeric", "paper_proof"):
         raise InputError(f"mode must be 'numeric' or 'paper_proof', got {mode!r}")

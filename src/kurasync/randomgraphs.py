@@ -13,9 +13,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .certify import GENERAL_ALPHA_SUP
+from .certify import theorem_condition
 from .errors import BracketError, ConsistencyError, DomainError, InputError, NumericalError
 from .graphs import _is_integer
+from .spectral import ExpanderProfile
 
 __all__ = [
     "h_func",
@@ -216,8 +217,9 @@ class ErPrediction:
 def er_prediction(n, gamma, eps):
     """Assemble the predicted profile of G(n, p) with its failure bound.
 
-    alpha_pred = 6 / sqrt(gamma * log n) is honest about finite n: when it
-    exceeds 1/5 no certificate can follow and the verdict says so.
+    alpha_pred = 6 / sqrt(gamma * log n) is honest about finite n: the verdict
+    is certifiable only where theorem_condition, with its 1/5 gate, passes on
+    (alpha_pred, c_minus_eps, c_plus_eps).
     """
     if not (_is_integer(n) and n >= 3):
         raise InputError(f"need integer n >= 3, got {n!r}")
@@ -228,7 +230,8 @@ def er_prediction(n, gamma, eps):
     c_minus, c_plus = gamma_roots(gamma)
     c_minus_e, c_plus_e = gamma_roots_eps(gamma, eps)
     alpha_pred = 6.0 / math.sqrt(gamma * logn)
-    verdict = VACUOUS_VERDICT if alpha_pred > GENERAL_ALPHA_SUP else CERTIFIABLE_VERDICT
+    cert = theorem_condition(ExpanderProfile(n, gamma * logn, alpha_pred, c_minus_e, c_plus_e))
+    verdict = CERTIFIABLE_VERDICT if cert.verdict == "pass" else VACUOUS_VERDICT
     return ErPrediction(
         n=n, gamma=float(gamma), eps=float(eps), p=p, d_ref=gamma * logn,
         alpha_pred=alpha_pred, c_minus_pred=c_minus, c_plus_pred=c_plus,

@@ -525,5 +525,6 @@ def check_mixing_bounds(g, profile, trials, seed):
     passed = all(e.slack >= -allowance for e in entries)
     return MixingReport(
         entries=tuple(entries), skipped=tuple(sorted(skipped)), passed=passed,
-        allowance=allowance, trials=trials, seed=seed,
+        allowance=allowance, trials=int(trials),
+        seed=int(seed) if _is_integer(seed) else seed,
     )

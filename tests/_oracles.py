@@ -11,6 +11,7 @@ code, which faster or merged versions must reproduce bit for bit.
 import csv
 import math
 from collections import deque
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -494,9 +495,29 @@ def sweep_csv_reference(path, header, rows):
 
 
 # Frozen copy of the amplification engine as it stood while two trace
-# constructors and a regular_mode knob were in place. The library engine,
-# which builds every trace in one place and detects the budget recursion
-# from the profile, must match it field for field and error for error.
+# constructors, a regular_mode knob and a large-arc step kind were in place.
+# The library engine, which builds every trace in one place, detects the
+# budget recursion from the profile and grows large arcs only in the tail,
+# must match it field for field and error for error. Any step that is not a
+# small-arc step or a tail takes the large-arc branch below, so a
+# LargeArcStepReference in a SimpleNamespace(steps=...) replays the old
+# schedules the library no longer accepts.
+
+@dataclass(frozen=True)
+class LargeArcStepReference:
+    """The removed large-arc step: one term of the tail's geometric run."""
+
+    eps: float
+    kind: str = "large_arc"
+
+
+def preset_schedule_reference():
+    """The preset as it stood: three small-arc steps, four large-arc steps
+    at the tail's eps, then the tail."""
+    return SimpleNamespace(steps=(3 * (SmallArcStep(eps=0.23, rho=0.38),)
+                                  + 4 * (LargeArcStepReference(eps=0.184),)
+                                  + (TailStep(eps=0.184),)))
+
 
 def _ref_fail_trace(rows, rhs, mode, alpha, reason):
     return AmplificationTrace(

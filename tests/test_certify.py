@@ -7,6 +7,8 @@ replay is pinned to hand-verified trace values at alpha = 0.0816.
 
 import json
 import math
+import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,7 +22,6 @@ from kurasync import (
     DomainError,
     ExpanderProfile,
     InputError,
-    LargeArcStep,
     Schedule,
     ScheduleError,
     SmallArcStep,
@@ -40,7 +41,7 @@ from kurasync.randomgraphs import ErPrediction
 from kurasync.spectral import MixingEntry, MixingReport, read_json, record_json, write_json
 
 from _lemmas import cubic_root_a, order_param_validity_limit
-from _oracles import amplification_reference, sign_scan_roots
+from _oracles import amplification_reference, preset_schedule_reference, sign_scan_roots
 
 
 def regular_profile(alpha):
@@ -186,9 +187,9 @@ def test_theorem_condition_cases():
 def test_preset_schedule_shape():
     sched = preset_regular_schedule()
     kinds = [s.kind for s in sched.steps]
-    assert kinds == ["small_arc"] * 3 + ["large_arc"] * 4 + ["tail"]
+    assert kinds == ["small_arc"] * 3 + ["tail"]
     assert all(s.eps == 0.23 and s.rho == 0.38 for s in sched.steps[:3])
-    assert all(s.eps == 0.184 for s in sched.steps[3:])
+    assert sched.steps[3].eps == 0.184
 
 
 def test_schedule_validation():
@@ -199,9 +200,16 @@ def test_schedule_validation():
     with pytest.raises(InputError):
         Schedule(steps=(SmallArcStep(eps=0.1, rho=-0.1),))
     with pytest.raises(InputError):
-        Schedule(steps=(TailStep(eps=0.1), LargeArcStep(eps=0.1)))
+        Schedule(steps=(TailStep(eps=0.1), TailStep(eps=0.1)))
     with pytest.raises(InputError):
         Schedule(steps=(SmallArcStep(eps=0.1, rho=0.1), "tail"))
+
+
+def test_readme_schedule_example_is_the_preset():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    assert Schedule.from_json_dict(json.loads(blocks[0])) == preset_regular_schedule()
 
 
 def test_schedule_json_round_trip(tmp_path):
@@ -219,6 +227,11 @@ def test_schedule_json_round_trip(tmp_path):
         record_json(Schedule(steps=(TailStep(eps=1.0),))))
     with pytest.raises(InputError):
         Schedule.from_json_dict({"steps": [{"kind": "sideways", "eps": 0.1}]})
+    # the large-arc step is gone: a run of them is a prefix of the tail
+    with pytest.raises(InputError, match=r"step 1 .*kind small_arc or tail.*'large_arc'"):
+        Schedule.from_json_dict({"steps": [{"kind": "small_arc", "eps": 0.23, "rho": 0.38},
+                                           {"kind": "large_arc", "eps": 0.184},
+                                           {"kind": "tail", "eps": 0.184}]})
     with pytest.raises(InputError):
         Schedule.from_json_dict([1, 2])
 
@@ -265,7 +278,6 @@ PINNED_JSON = [
      '"condition1=1.500000 is not below 1"], "verdict": "fail"}'),
     (preset_regular_schedule,
      '{"steps": [' + ', '.join(3 * ['{"eps": 0.23, "kind": "small_arc", "rho": 0.38}']
-                               + 4 * ['{"eps": 0.184, "kind": "large_arc"}']
                                + ['{"eps": 0.184, "kind": "tail"}']) + ']}'),
     (lambda: _ROW,
      '{"beta": 1.25, "cap_hit": "alpha_n", "k": 3, "mass_frac": 0.0, "mass_ratio": 2.0, '
@@ -282,11 +294,7 @@ PINNED_JSON = [
              ("1.4586696323597543", "alpha_n", "0.0", "4.833333333333334", "small_arc"),
              ("1.346542937924612", "alpha_n", "0.0", "23.361111111111118", "small_arc"),
              ("1.2344162434894699", "alpha_n", "0.0", "112.91203703703708", "small_arc"),
-             ("1.2105263406341646", "none", "0.0", "459.17561728395077", "large_arc"),
-             ("1.2046522993584223", "none", "0.0", "1867.314176954733", "large_arc"),
-             ("1.2032078707834164", "none", "0.0", "7593.744319615914", "large_arc"),
-             ("1.2028526835449473", "none", "0.0", "30881.22689977138", "large_arc"),
-             ("1.202736861855365", "half_n", "0.5", "30881.22689977138", "tail"),
+             ("1.2027368618553653", "half_n", "0.5", "112.91203703703708", "tail"),
          ]))
      + '], "verdict": "pass"}'),
     (lambda: amplification_run(regular_profile(0.15), preset_regular_schedule(),
@@ -356,12 +364,11 @@ def profiles():
 
 def schedules():
     eps = st.floats(0.01, 1.0)
-    step = st.one_of(st.builds(SmallArcStep, eps=eps, rho=st.floats(0.01, 2.0)),
-                     st.builds(LargeArcStep, eps=eps))
-    # a tail step is optional, and a large-arc step may come before its gate
-    built = st.builds(lambda body, tail: Schedule(steps=tuple(body) + tail),
-                      st.lists(step, min_size=1, max_size=8),
-                      st.one_of(st.just(()), st.builds(lambda e: (TailStep(eps=e),), eps)))
+    body = st.lists(st.builds(SmallArcStep, eps=eps, rho=st.floats(0.01, 2.0)), max_size=8)
+    # a tail step is optional, and may come first, before its gate
+    tail = st.one_of(st.just(()), st.builds(lambda e: (TailStep(eps=e),), eps))
+    built = st.builds(lambda b, t: tuple(b) + t, body, tail).filter(bool).map(
+        lambda steps: Schedule(steps=steps))
     return st.one_of(st.none(), st.just(preset_regular_schedule()), built)
 
 
@@ -371,11 +378,52 @@ def schedules():
 @example(regular_profile(0.0816), preset_regular_schedule(), "paper_proof")
 @example(ExpanderProfile(n=1, d_ref=1.0, alpha=0.05, c_minus=-1.2, c_plus=0.05),
          None, "paper_proof")
-@example(regular_profile(0.05), Schedule(steps=(LargeArcStep(eps=0.1),)), "numeric")
+@example(regular_profile(0.05), Schedule(steps=(TailStep(eps=0.1),)), "numeric")
 @example(regular_profile(0.03), Schedule(steps=(SmallArcStep(eps=0.2, rho=0.4),)), "numeric")
 def test_amplification_matches_reference(prof, schedule, mode):
     assert engine_outcome(amplification_run, prof, schedule, mode=mode) == \
         engine_outcome(amplification_reference, prof, schedule, mode=mode)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.floats(0.001, 0.2).map(regular_profile),
+                 st.builds(lambda a, cm, cp: ExpanderProfile(n=1, d_ref=1.0, alpha=a,
+                                                             c_minus=cm, c_plus=cp),
+                           st.floats(0.001, 0.2, exclude_min=True, exclude_max=True),
+                           st.floats(-0.7, 0.0, exclude_min=True, exclude_max=True),
+                           st.floats(0.0, 0.7, exclude_min=True, exclude_max=True))),
+       st.sampled_from(["numeric", "paper_proof"]))
+@example(regular_profile(0.08217120361328124), "numeric")
+@example(regular_profile(0.08217163085937501), "numeric")
+@example(regular_profile(0.061646636962890626), "paper_proof")
+@example(regular_profile(0.0616467), "paper_proof")
+def test_preset_without_large_arc_steps_keeps_every_verdict(prof, mode):
+    # the old preset's four large-arc steps at the tail's eps were the
+    # tail's first four terms, so dropping them moves only rounding
+    old = amplification_reference(prof, preset_schedule_reference(), mode=mode)
+    new = amplification_run(prof, preset_regular_schedule(), mode=mode)
+    assert new.verdict == old.verdict
+    assert abs(new.final_check_lhs - old.final_check_lhs) <= 1e-15
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(lambda a, cm, w: ExpanderProfile(n=1, d_ref=1.0, alpha=a, c_minus=cm,
+                                                  c_plus=cm + w),
+                 st.floats(0.001, 0.2), st.floats(-0.75, 0.5), st.floats(0.0, 1.0)),
+       st.floats(0.0, 1.0), st.floats(0.01, 2.0), st.sampled_from(["numeric", "paper_proof"]))
+def test_illegal_schedules_raise_schedule_error(prof, over, rho, mode):
+    # 1 + c_plus >= 1/4 > alpha puts the tail's gate (1 + c_plus + alpha)/(2 alpha)
+    # above the starting ratio 1
+    too_wide = 1.0 + prof.c_minus + over
+    legal = 0.5 * (1.0 + prof.c_minus)
+    for steps in ((SmallArcStep(eps=too_wide, rho=rho), TailStep(eps=legal)),
+                  (TailStep(eps=too_wide),),
+                  (TailStep(eps=legal),)):
+        schedule = Schedule(steps=steps)
+        with pytest.raises(ScheduleError):
+            amplification_run(prof, schedule, mode=mode)
+        assert engine_outcome(amplification_run, prof, schedule, mode=mode) == \
+            engine_outcome(amplification_reference, prof, schedule, mode=mode)
 
 
 @pytest.mark.parametrize("schedule", [preset_regular_schedule(), None])
@@ -400,7 +448,7 @@ def test_amplification_preset_trace():
 
     rows = tr.rows
     assert [r.step_kind for r in rows] == (
-        ["start"] + ["small_arc"] * 3 + ["large_arc"] * 4 + ["tail"])
+        ["start"] + ["small_arc"] * 3 + ["tail"])
     assert rows[0].beta == pytest.approx(math.pi / 2, abs=1e-15)
     betas = [r.beta for r in rows]
     assert all(b1 > b2 for b1, b2 in zip(betas, betas[1:]))  # strictly shrinking
@@ -410,7 +458,7 @@ def test_amplification_preset_trace():
     # small-arc rows are capped by the alpha*n absolute bound, the tail
     # certifies half the vertices outright
     assert [r.cap_hit for r in rows] == (
-        ["none"] + ["alpha_n"] * 3 + ["none"] * 4 + ["half_n"])
+        ["none"] + ["alpha_n"] * 3 + ["half_n"])
     ratios = [r.mass_ratio for r in rows]
     assert all(r2 >= r1 for r1, r2 in zip(ratios, ratios[1:]))
     assert rows[-1].mass_frac == 0.5
@@ -451,7 +499,7 @@ def test_amplification_argument_errors():
     with pytest.raises(InputError):
         amplification_run(prof, None, mode="numeric")
     with pytest.raises(ScheduleError):
-        amplification_run(prof, Schedule(steps=(LargeArcStep(eps=0.1),)),
+        amplification_run(prof, Schedule(steps=(TailStep(eps=0.1),)),
                           mode="numeric")
 
 

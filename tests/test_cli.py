@@ -175,10 +175,10 @@ def test_certify_saved_profile_passes(tmp_path, main_cli):
     amp = rep["amplification"]
     assert abs(amp["final_check_lhs"] - 0.009055288178210153) < 1e-15
     assert abs(amp["final_check_rhs"] - 0.007722083173020028) < 1e-15
-    assert len(amp["rows"]) == 9
+    assert len(amp["rows"]) == 5
     trace = (out / "trace.csv").read_text(encoding="utf-8").strip().splitlines()
     assert trace[0] == "k,beta_k,mass_frac,step_kind"
-    assert len(trace) == 10
+    assert len(trace) == 6
 
 
 def test_certify_requires_exactly_one_source(tmp_path, main_cli):
@@ -423,12 +423,25 @@ def test_er_predict_vacuous_at_realistic_n(main_cli):
 
 
 def test_er_predict_exits_0_in_certifiable_range(main_cli):
-    # alpha_pred = 6 / sqrt(80 log 1e5) = 0.1977, below the 1/5 gate
-    proc = main_cli("er-predict", "--n", "100000", "--gamma", "80", "--eps", "0.1")
+    # the closed form passes on (alpha_pred, c_minus_eps, c_plus_eps) with
+    # condition1 = 0.217
+    proc = main_cli("er-predict", "--n", "1" + "0" * 300, "--gamma", "5000", "--eps", "0.01")
     assert proc.returncode == 0
     pred = report_from(proc)["prediction"]
     assert pred["verdict"] == CERTIFIABLE_VERDICT
     assert pred["alpha_pred"] <= GENERAL_ALPHA_SUP
+
+
+@pytest.mark.parametrize("n, gamma, eps", [("100000", "80", "0.1"), ("1" + "0" * 98, "4", "0.5")],
+                         ids=["1e5-80-0.1", "1e98-4-0.5"])
+def test_er_predict_below_the_gate_is_not_certifiable_unless_the_condition_passes(
+        main_cli, n, gamma, eps):
+    # alpha_pred is below the 1/5 gate, but condition1 is 17.25 and 47.2
+    proc = main_cli("er-predict", "--n", n, "--gamma", gamma, "--eps", eps)
+    assert proc.returncode == 1
+    pred = report_from(proc)["prediction"]
+    assert pred["alpha_pred"] <= GENERAL_ALPHA_SUP
+    assert "vacuous" in pred["verdict"]
 
 
 def test_er_predict_gamma_at_window_lower_end_exits_2(main_cli):
@@ -731,6 +744,22 @@ def test_threshold_rejects_malformed_schedule(tmp_path, main_cli, schedule):
     proc = main_cli("threshold", "--schedule", str(path))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:"), proc.stderr
+
+
+def test_large_arc_schedule_exits_2_naming_the_kind(tmp_path, main_cli):
+    # a schedule saved with the old preset's large-arc steps
+    path = tmp_path / "schedule.json"
+    steps = 3 * [{"kind": "small_arc", "eps": 0.23, "rho": 0.38}] + \
+        4 * [{"kind": "large_arc", "eps": 0.184}] + [{"kind": "tail", "eps": 0.184}]
+    write_json(path, {"steps": steps})
+    write_json(tmp_path / "p.json", record_json(ExpanderProfile(
+        n=600, d_ref=600.0, alpha=0.0816, c_minus=-0.0816, c_plus=0.0816)))
+    for args in (["certify", "--profile", str(tmp_path / "p.json"), "--mode", "numeric"],
+                 ["threshold"]):
+        proc = main_cli(*args, "--schedule", str(path))
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert proc.stderr.startswith("error: step 3 ") and "'large_arc'" in proc.stderr, \
+            proc.stderr
 
 
 @pytest.mark.parametrize("text", ['{"steps": [', "", b"\xff\xfe"])

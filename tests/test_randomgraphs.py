@@ -17,6 +17,7 @@ from scipy.optimize import brentq
 from kurasync import (
     BracketError,
     DomainError,
+    ExpanderProfile,
     InputError,
     NumericalError,
     er_failure_probability,
@@ -25,6 +26,7 @@ from kurasync import (
     gamma_roots_eps,
     gen_erdos_renyi,
     h_func,
+    theorem_condition,
 )
 from kurasync import randomgraphs
 from kurasync.randomgraphs import (
@@ -208,10 +210,17 @@ def test_er_prediction_fields_and_verdict():
     assert (pred.c_minus_pred, pred.c_plus_pred) == gamma_roots(3.0)
     assert (pred.c_minus_eps, pred.c_plus_eps) == gamma_roots_eps(3.0, 0.25)
 
-    # alpha_pred crosses 1/5 only when gamma log n reaches 900
+    # alpha_pred crosses 1/5 only when gamma log n reaches 900, and the
+    # closed form must then pass on (alpha_pred, c_minus_eps, c_plus_eps)
+    pred = er_prediction(10 ** 300, 5000.0, 0.01)
+    prof = ExpanderProfile(n=pred.n, d_ref=pred.d_ref, alpha=pred.alpha_pred,
+                           c_minus=pred.c_minus_eps, c_plus=pred.c_plus_eps)
+    assert theorem_condition(prof).condition1 == pytest.approx(0.217, abs=1e-3)
+    assert pred.verdict == CERTIFIABLE_VERDICT
+    # below the gate but failing the closed form (condition1 = 47.2)
     pred = er_prediction(10 ** 98, 4.0, 0.5)
     assert pred.alpha_pred <= 0.2
-    assert pred.verdict == CERTIFIABLE_VERDICT
+    assert pred.verdict == VACUOUS_VERDICT
 
     keys = set(record_json(pred))
     assert keys == {

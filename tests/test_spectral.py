@@ -290,6 +290,15 @@ def test_mixing_bounds_report_shape(tmp_path):
     assert mixing["worst_slack"] == min(e["slack"] for e in mixing["entries"])
 
 
+def test_mixing_report_of_numpy_counts_is_json():
+    # numpy integers for trials and seed are stored as Python ints
+    g = gen_named("cycle", 8)
+    rep = check_mixing_bounds(g, expander_profile(g), trials=np.int64(3), seed=np.int64(0))
+    assert json.loads(json.dumps(record_json(rep)))["trials"] == 3
+    assert type(rep.trials) is int and type(rep.seed) is int
+    assert rep == check_mixing_bounds(g, expander_profile(g), trials=3, seed=0)
+
+
 def test_mixing_bounds_skip_unmeetable_hypotheses():
     # a window reaching -1 empties the eps interval of the nested lemmas;
     # they must land in skipped rather than silently pass
