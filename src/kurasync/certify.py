@@ -289,6 +289,9 @@ def _tail_spend(x, delta, paper_proof):
     # angle spent by the tail's geometric run of steps, sines x, x/(1+delta), ...
     if x == 0.0:
         return 0.0
+    if delta == 0.0:
+        # eps underflowed against c_plus - c_minus: the sines never shrink
+        return math.inf
     if paper_proof:
         # closed form of the geometric series of pi*x/2 spends
         if math.isfinite(delta):

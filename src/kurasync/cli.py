@@ -344,18 +344,15 @@ def _cmd_simulate(cfg):
     step_cap = _count(cfg, "step_cap", STEP_CAP, 0)
     grad_tol = cfg.get("tol", GRAD_TOL)
     classify = cfg.get("classify", False)
-    # run 0's trajectory is flow.csv; the later runs are one block whose
-    # rows keep only their final fields
-    first = flow(g, random_phases(g.n, seed), grad_tol=grad_tol, step_cap=step_cap)
-    starts = np.empty((runs - 1, g.n))
-    for i, row in enumerate(starts, 1):
+    # every run is a row of one block, which keeps final fields only; flow
+    # replays run 0, bit for bit its row, for its trajectory in flow.csv
+    starts = np.empty((runs, g.n))
+    for i, row in enumerate(starts):
         row[:] = random_phases(g.n, seed + i)
-    rest = flow_batch(g, starts, grad_tol=grad_tol, step_cap=step_cap)
-    finals = [(first.final, first.steps, first.terminated, first.energies[-1],
-               first.grad_norms[-1], first.rho1s[-1]),
-              *zip(rest.final, rest.steps, rest.terminated, rest.energy, rest.grad_norm, rest.rho1)]
+    res = flow_batch(g, starts, grad_tol=grad_tol, step_cap=step_cap)
     rows = []
-    for i, (final, steps, terminated, ene, gn, rho1) in enumerate(finals):
+    for i, (final, steps, terminated, ene, gn, rho1) in enumerate(zip(
+            res.final, res.steps, res.terminated, res.energy, res.grad_norm, res.rho1)):
         row = {
             "seed": seed + i,
             "steps": int(steps),
@@ -376,9 +373,14 @@ def _cmd_simulate(cfg):
         "sync_criterion": f"rho1 > {SYNC_RHO!r}",
     }
     cols = list(rows[0].keys())
+
+    def write_flow(p):
+        first = flow(g, starts[0], grad_tol=grad_tol, step_cap=step_cap)
+        write_csv(p, ["time", "energy", "grad_norm", "rho1"], zip(
+            first.times, first.energies, first.grad_norms, first.rho1s))
+
     return report, 0, {
-        "flow.csv": lambda p: write_csv(p, ["time", "energy", "grad_norm", "rho1"], zip(
-            first.times, first.energies, first.grad_norms, first.rho1s)),
+        "flow.csv": write_flow,
         "runs.csv": lambda p: write_csv(p, cols, ([r[c] for c in cols] for r in rows)),
     }
 

@@ -149,16 +149,12 @@ def _hessian_parts(g, theta):
     return np.bincount(rows, weights=w, minlength=g.n), W
 
 
-def _dense_hessian(diag, W):
+def hessian(g, theta):
+    """Dense Hessian; rows sum to zero (global rotation symmetry)."""
+    diag, W = _hessian_parts(g, _check_state(g, theta))
     H = -W.toarray()
     np.fill_diagonal(H, diag)
     return H
-
-
-def hessian(g, theta):
-    """Dense Hessian; rows sum to zero (global rotation symmetry)."""
-    theta = _check_state(g, theta)
-    return _dense_hessian(*_hessian_parts(g, theta))
 
 
 def daido(theta, k=1):
@@ -352,16 +348,16 @@ def _restricted_min_eig(g, theta, tol):
     n = g.n
     if n == 1:
         return 0.0
-    diag, W = _hessian_parts(g, theta)
     s = 4.0 * max(int(g.degrees.max()), 1) + 1.0
     if n < _SPARSE_MIN_N:
-        M = _dense_hessian(diag, W)
+        M = hessian(g, theta)
         M += s / n
         return float(np.linalg.eigvalsh(M)[0])
     # imported here: the module adds about 1 MB to every process, and
     # nothing else in the package needs it
     from scipy.sparse.csgraph import connected_components
 
+    diag, W = _hessian_parts(g, theta)
     count, labels = connected_components(W, directed=False)
     size = np.bincount(labels)
 

@@ -105,6 +105,36 @@ def dense_alpha(g, d_ref):
     return max(abs(w[0]), abs(w[-1])) / d_ref
 
 
+def exact_single_set_slacks(g, profile):
+    """{lemma: least slack over every nonempty X} of the single-set mixing
+    lemmas: internal_pairs, cut_to_complement (X != V) and incident_edge_mass.
+
+    One product S @ A of the (2^n - 1, n) indicator matrix S of all
+    nonempty subsets with the dense adjacency counts every set at once:
+    e(X, V) is a row sum of S @ A and e(X, X) that of (S @ A) * S. Bounds
+    and slacks are check_mixing_bounds' expressions term for term, so a set
+    both see has the same slack in both.
+    """
+    n, d, alpha = g.n, profile.d_ref, profile.alpha
+    cm, cp = profile.c_minus, profile.c_plus
+    S = ((np.arange(1, 2 ** n)[:, None] >> np.arange(n)) & 1).astype(np.float64)
+    SA = S @ dense_adjacency(g)
+    k, exx, inc = S.sum(axis=1), (SA * S).sum(axis=1), SA.sum(axis=1)
+
+    def least(lower, value, upper):
+        return float(np.minimum(value - lower, upper - value).min())
+
+    mean = (d / n) * k * k
+    base = ((d / n) * k * (n - k))[k < n]
+    dens = k / n
+    return {
+        "internal_pairs": least(mean - alpha * d * k, exx, mean + alpha * d * k),
+        "cut_to_complement": least((1.0 + cm) * base, (inc - exx)[k < n], (1.0 + cp) * base),
+        "incident_edge_mass": least((1.0 + cm * (1.0 - dens) - alpha) * d * k, inc,
+                                    (1.0 + cp * (1.0 - dens) + alpha) * d * k),
+    }
+
+
 def dense_laplacian_extremes(g, d_ref):
     A = dense_adjacency(g)
     M = np.diag(A.sum(axis=1)) - A - d_ref * np.eye(g.n) \

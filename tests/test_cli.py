@@ -273,11 +273,30 @@ def test_simulate_leaves_no_out_dir_on_input_error(tmp_path, main_cli):
     assert not out.exists()
 
 
+def test_simulate_calls_flow_only_to_write_flow_csv(tmp_path, monkeypatch):
+    # every run is a row of flow_batch's block; flow integrates run 0 again,
+    # for its trajectory, only when --out writes flow.csv
+    starts = []
+    real = kurasync.cli.flow
+
+    def counting(g, theta0, **kwargs):
+        starts.append(np.array(theta0))
+        return real(g, theta0, **kwargs)
+
+    monkeypatch.setattr(kurasync.cli, "flow", counting)
+    argv = ["simulate", "--gen", "cycle:10", "--seed", "3", "--runs", "4", "--step-cap", "500"]
+    run(argv)
+    assert starts == []
+    run([*argv, "--out", str(tmp_path / "run")])
+    assert len(starts) == 1
+    assert starts[0].tobytes() == random_phases(10, 3).tobytes()
+
+
 @pytest.mark.parametrize("spec, seed, cap", [("cycle:10", 0, 500), ("er:50,0.1", 4, 3000)])
 def test_simulate_runs_are_reference_flows(tmp_path, main_cli, spec, seed, cap):
-    # run 0 goes through flow and the other four through one flow_batch
-    # block; every sidecar and the report match rows built from the frozen
-    # one-state flow
+    # all five runs are rows of one flow_batch block, and flow.csv replays
+    # run 0 through flow; every sidecar and the report match rows built
+    # from the frozen one-state flow
     out = tmp_path / "run"
     proc = main_cli("simulate", "--gen", spec, "--seed", str(seed), "--runs", "5",
                    "--step-cap", str(cap), "--classify", "--out", str(out))
@@ -760,6 +779,24 @@ def test_large_arc_schedule_exits_2_naming_the_kind(tmp_path, main_cli):
         assert proc.returncode == 2, (args, proc.stderr)
         assert proc.stderr.startswith("error: step 3 ") and "'large_arc'" in proc.stderr, \
             proc.stderr
+
+
+@pytest.mark.parametrize("mode", ["numeric", "paper-proof"])
+def test_subnormal_tail_eps_exhausts_the_tail(tmp_path, main_cli, mode):
+    # eps / (c_plus - c_minus) underflows to 0: the tail's sines never
+    # shrink, so its angle spend has no bound and the run fails in the tail
+    write_json(tmp_path / "p.json", record_json(ExpanderProfile(
+        n=1000, d_ref=10.0, alpha=1e-4, c_minus=-0.5, c_plus=1.5)))
+    steps = 12 * [{"kind": "small_arc", "eps": 0.45, "rho": 0.5}]
+    write_json(tmp_path / "s.json", {"steps": [*steps, {"kind": "tail", "eps": 5e-324}]})
+    proc = main_cli("certify", "--profile", str(tmp_path / "p.json"), "--mode", mode,
+                    "--schedule", str(tmp_path / "s.json"))
+    assert proc.returncode == 1, proc.stderr
+    rep = report_from(proc)
+    assert rep["verdict"] == "fail"
+    assert rep["amplification"]["reason"] == "step 13: angle budget exhausted in the tail"
+    last = rep["amplification"]["rows"][-1]
+    assert (last["step_kind"], last["status"], last["beta"]) == ("tail", "below_zero", float("-inf"))
 
 
 @pytest.mark.parametrize("text", ['{"steps": [', "", b"\xff\xfe"])

@@ -17,10 +17,7 @@ import kurasync
 SRC = Path(kurasync.__file__).parent
 
 # public names that nothing in the package calls, each kept for a reason
-UNUSED_OK = {
-    # bench/tracer.py wraps dynamics.hessian to time dense Hessian builds
-    "hessian",
-}
+UNUSED_OK = set()
 
 
 def _modules():

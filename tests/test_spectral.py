@@ -42,6 +42,7 @@ from _oracles import (
     dense_alpha,
     dense_laplacian_extremes,
     discrepancy_search_reference,
+    exact_single_set_slacks,
 )
 
 TOL = 1e-8
@@ -547,3 +548,27 @@ def test_mixing_report_matches_every_subset(g):
     assert slack.min() >= -rep.allowance
     worst = min(e.slack for e in rep.entries if e.lemma == "internal_pairs")
     assert worst == pytest.approx(slack.min(), abs=1e-9)
+
+
+EXACT_GRAPHS = {
+    "cycle:16": gen_named("cycle", 16),
+    "two_cliques_bridged:16": gen_named("two_cliques_bridged", 16),
+    "star:12": gen_named("star", 12),
+    "path:14": gen_named("path", 14),
+    "complete:9": gen_named("complete", 9),
+    "er:16,0.3": gen_erdos_renyi(16, 0.3, 1),
+    "regular:16,5": gen_random_regular(16, 5, 2),
+}
+
+
+@pytest.mark.parametrize("g", EXACT_GRAPHS.values(), ids=EXACT_GRAPHS.keys())
+def test_single_set_lemmas_hold_on_every_subset(g):
+    # with its measured profile, a small graph meets each single-set lemma
+    # on every nonempty subset, which proves them for that graph; no set the
+    # check samples or searches has less slack than the exact minimum
+    prof = expander_profile(g)
+    exact = exact_single_set_slacks(g, prof)
+    assert min(exact.values()) >= -10.0 * prof.tol * prof.d_ref * g.n, exact
+    rep = check_mixing_bounds(g, prof, trials=20, seed=0)
+    for lemma, least in exact.items():
+        assert min(e.slack for e in rep.entries if e.lemma == lemma) >= least, (lemma, exact)
